@@ -8,15 +8,29 @@ format stores the top row first, so rows are flipped on the way through.
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import HeaderMismatchError
+from .ingest import format_rows_6f
 from .raster import GridSpec
 
 NODATA = -9999.0
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# the ASCII line boundaries of str.splitlines(); np.loadtxt reads only
+# LF and CRLF as line ends, and the controls among them as whitespace
+_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
+_CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _nodata_tokens(line: str) -> str:
+    # "%.6f" prints non-finite values as nan/inf/-inf, which no finite
+    # value's digits can contain
+    return line.replace("-inf", "-9999").replace("inf", "-9999").replace("nan", "-9999")
 
 
 def format_ascii_grid(values: np.ndarray, grid: GridSpec) -> str:
@@ -31,10 +45,9 @@ def format_ascii_grid(values: np.ndarray, grid: GridSpec) -> str:
         "NODATA_value -9999",
     ]
     flipped = np.flipud(np.asarray(values, dtype=np.float64))
-    for row in flipped:
-        lines.append(
-            " ".join("-9999" if not np.isfinite(v) else f"{v:.6f}" for v in row)
-        )
+    finite_rows = np.isfinite(flipped).all(axis=1).tolist()
+    for line, finite in zip(format_rows_6f(flipped), finite_rows):
+        lines.append(line if finite else _nodata_tokens(line))
     return "\n".join(lines) + "\n"
 
 
@@ -43,38 +56,84 @@ def write_ascii_grid(values: np.ndarray, grid: GridSpec, path) -> None:
     Path(path).write_text(format_ascii_grid(values, grid), encoding="ascii")
 
 
-def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
-    """Read a raster back; NODATA cells come back as NaN."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _lf_lines(data: bytes) -> bytes:
+    """``data`` with every line boundary np.loadtxt would misread as LF."""
+    lone_cr = data.count(b"\r") != data.count(b"\r\n")
+    if lone_cr or any(c in data for c in _CONTROL_LINE_ENDS):
+        return _LINE_END.sub(b"\n", data)
+    return data
+
+
+def _parse_header(data: bytes) -> tuple[dict[str, float], int]:
+    """Header values by lower-case key, and the byte offset of the body."""
     header: dict[str, float] = {}
-    idx = 0
-    while idx < len(lines) and len(header) < 6:
-        parts = lines[idx].split()
-        if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
-            break
-        header[parts[0].lower()] = float(parts[1])
-        idx += 1
+    pos = 0
+    while pos < len(data) and len(header) < 6:
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        parts = data[pos:end].decode("ascii").split()
+        if parts:
+            if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
+                break
+            header[parts[0].lower()] = float(parts[1])
+        pos = end + 1
+    return header, pos
+
+
+def _ragged_row(body: io.BytesIO, offset: int, ncols: int) -> str | None:
+    """Describe the first non-blank body line without ``ncols`` values."""
+    body.seek(offset)
+    nonblank = (ln for ln in body if ln.strip())
+    for rowno, line in enumerate(nonblank, start=1):
+        found = len(line.split())
+        if found != ncols:
+            return f"data row {rowno} has {found} values, header declares ncols {ncols}"
+    return None
+
+
+def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
+    """Read a raster back; NODATA cells come back as NaN.
+
+    A malformed file (a non-ASCII byte, a missing header key, wrong row
+    or column counts, a non-numeric cell) raises HeaderMismatchError
+    naming the file.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        if not raw.isascii():
+            raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise HeaderMismatchError(
+            f"{path}: non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    raw = _lf_lines(raw)
+    header, offset = _parse_header(raw)
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
-        raise HeaderMismatchError(f"ASCII grid header missing {missing}")
+        raise HeaderMismatchError(f"{path}: ASCII grid header missing {missing}")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     nodata = header["nodata_value"]
 
-    rows = lines[idx:]
-    if len(rows) != nrows:
-        raise HeaderMismatchError(
-            f"header declares {nrows} rows but file has {len(rows)}"
-        )
+    body = io.BytesIO(raw)
+    body.seek(offset)
     try:
-        data = np.array([[float(v) for v in row.split()] for row in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty body: checked below
+            data = np.loadtxt(body, dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:
-        raise HeaderMismatchError(f"non-numeric cell value: {exc}") from None
+        ragged = _ragged_row(body, offset, ncols)
+        raise HeaderMismatchError(
+            f"{path}: {ragged or f'non-numeric cell value: {exc}'}"
+        ) from None
+    if data.shape[0] != nrows:
+        raise HeaderMismatchError(
+            f"{path}: header declares {nrows} rows but file has {data.shape[0]}"
+        )
     if data.shape != (nrows, ncols):
         raise HeaderMismatchError(
-            f"header declares {nrows}x{ncols} but data is {data.shape}"
+            f"{path}: header declares {nrows}x{ncols} but data is {data.shape}"
         )
     data[data == nodata] = np.nan
     grid = GridSpec(

@@ -7,8 +7,12 @@ in a projected metric CRS.
 
 from __future__ import annotations
 
+import io
+import math
 import re
 import struct
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +22,12 @@ from .errors import EmptyInputError, MalformedRecordError, UnsupportedFormatErro
 
 _LAS_MAGIC = b"LASF"
 _FIELD_SEP = re.compile(r"[,\s]+")
+# Bytes that send XYZ text to the per-line parser: comment and comma
+# syntax, and the ASCII controls that str.splitlines() ends a line at but
+# np.loadtxt reads as field whitespace.
+_NOT_BULK = (b"#", b",", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# cells per block that format_rows_6f converts to Python floats at once
+_FORMAT_CHUNK_CELLS = 1 << 16
 
 # minimal public header sizes per LAS minor version
 _LAS_MIN_HEADER = 227
@@ -93,7 +103,28 @@ def _drop_nonfinite(xyz: np.ndarray) -> tuple[np.ndarray, int]:
     return xyz, dropped
 
 
-def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
+def _parse_xyz_bulk(data: bytes) -> np.ndarray | None:
+    """All points of plain whitespace-separated text, or None.
+
+    None means the input needs the per-line parser: it has a non-ASCII
+    byte, a comment or comma, a line break loadtxt does not see, or a
+    line loadtxt cannot read as at least three numbers.
+    """
+    if not data.isascii() or any(tok in data for tok in _NOT_BULK):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input
+            return np.loadtxt(
+                io.BytesIO(data), dtype=np.float64, usecols=(0, 1, 2),
+                ndmin=2, comments=None,
+            )
+    except ValueError:
+        return None
+
+
+def _parse_xyz_lines(data: bytes, strict: bool) -> tuple[np.ndarray, int]:
+    """Points and skipped-record count, one line at a time."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -114,8 +145,14 @@ def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
             if strict:
                 raise MalformedRecordError(f"line {lineno}: {exc}") from None
             skipped += 1
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 3), skipped
 
-    xyz = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+
+def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
+    xyz = _parse_xyz_bulk(data)
+    skipped = 0
+    if xyz is None:
+        xyz, skipped = _parse_xyz_lines(data, strict)
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
         raise EmptyInputError("no valid points in text input")
@@ -149,6 +186,9 @@ def _read_las(data: bytes, strict: bool) -> PointCloud:
         raise UnsupportedFormatError(f"record length {rec_len} too short for XYZ")
     if point_offset < header_size or point_offset > len(data):
         raise UnsupportedFormatError("offset to point data outside the file")
+    for axis, scale in zip("xyz", scales):
+        if scale == 0 or not math.isfinite(scale):
+            raise UnsupportedFormatError(f"LAS {axis} scale factor is {scale}")
 
     count = legacy_count
     if ver_minor >= 4 and header_size >= 375:
@@ -224,10 +264,23 @@ def bounds(pc: PointCloud) -> BBox:
     return BBox(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
+def format_rows_6f(values: np.ndarray) -> Iterator[str]:
+    """Yield each row of a 2-D float array as its cells in ``%.6f``, space separated.
+
+    Non-finite cells print as ``nan``, ``inf`` or ``-inf``.  Rows are
+    converted to Python floats a chunk at a time, to bound memory.
+    """
+    nrows, ncols = values.shape
+    row_fmt = " ".join(["%.6f"] * ncols)
+    step = max(1, _FORMAT_CHUNK_CELLS // ncols)
+    for start in range(0, nrows, step):
+        for row in values[start : start + step].tolist():
+            yield row_fmt % tuple(row)
+
+
 def write_points_xyz(pc: PointCloud, target) -> None:
     """Write a cloud as plain XYZ text with 6 decimal places per field."""
-    lines = [f"{x:.6f} {y:.6f} {z:.6f}" for x, y, z in pc.xyz]
-    payload = "\n".join(lines) + ("\n" if lines else "")
+    payload = "".join(line + "\n" for line in format_rows_6f(pc.xyz))
     if isinstance(target, (str, Path)):
         Path(target).write_text(payload, encoding="utf-8")
     else:

@@ -165,3 +165,48 @@ def tile_metrics(a, b, valid, tile_px):
             else:
                 out[(tr, tc)] = (None, None, 0)
     return out
+
+
+def per_cell_ascii_grid(values, grid):
+    """ESRI ASCII grid text, one f-string per cell, NaN/inf as -9999."""
+    lines = [
+        f"ncols {grid.ncols}",
+        f"nrows {grid.nrows}",
+        f"xllcorner {grid.origin_x:.6f}",
+        f"yllcorner {grid.origin_y:.6f}",
+        f"cellsize {grid.cell:.6f}",
+        "NODATA_value -9999",
+    ]
+    for row in np.flipud(np.asarray(values, dtype=np.float64)):
+        lines.append(
+            " ".join("-9999" if not np.isfinite(v) else f"{v:.6f}" for v in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def per_line_ascii_grid(text):
+    """Parse ASCII grid text with float() per cell.
+
+    Returns the south-first array and (xll, yll, cell, ncols, nrows);
+    raises ValueError on any malformed input.
+    """
+    keys = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = {}
+    idx = 0
+    while idx < len(lines) and len(header) < 6:
+        parts = lines[idx].split()
+        if len(parts) != 2 or parts[0].lower() not in keys:
+            break
+        header[parts[0].lower()] = float(parts[1])
+        idx += 1
+    if len(header) != 6:
+        raise ValueError("header incomplete")
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    rows = [[float(v) for v in row.split()] for row in lines[idx:]]
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ValueError("row or column count differs from header")
+    data = np.array(rows, dtype=np.float64).reshape(nrows, ncols)
+    data[data == header["nodata_value"]] = np.nan
+    geometry = (header["xllcorner"], header["yllcorner"], header["cellsize"], ncols, nrows)
+    return np.flipud(data).copy(), geometry

@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.errors import HeaderMismatchError
 from breakline_dtm.raster import GridSpec
+
+from oracles import per_cell_ascii_grid, per_line_ascii_grid
+
+# values whose "%.6f" text is special: non-finite, signed zero, the
+# NODATA value itself, 16-digit integers and values that round to zero
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -9999.0, 1e15, -1e15, 4.9e-7, -4.9e-7, 5e-7]
+cells = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e-6, 1e-6, allow_nan=False),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+rasters = st.one_of(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=cells),
+    hnp.arrays(np.float64, st.tuples(st.just(1), st.integers(1, 40)), elements=cells),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(1)), elements=cells),
+)
 
 
 def test_single_cell_exact_bytes():
@@ -91,3 +111,57 @@ def test_shape_validation():
     grid = GridSpec(0, 0, 1.0, 3, 3)
     with pytest.raises(ValueError):
         format_ascii_grid(np.zeros((2, 3)), grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rasters, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.01, 100))
+def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell):
+    grid = GridSpec(x0, y0, cell, values.shape[1], values.shape[0])
+    assert format_ascii_grid(values, grid) == per_cell_ascii_grid(values, grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rasters, st.data())
+def test_reader_equals_per_line_oracle(tmp_path_factory, values, data):
+    grid = GridSpec(-3.5, 7.25, 0.5, values.shape[1], values.shape[0])
+    lines = format_ascii_grid(values, grid).split("\n")
+    # every ASCII line boundary of str.splitlines(), mixed within a file
+    eols = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    sep = data.draw(st.sampled_from([" ", "\t", " \x1f"]))
+    text = "".join(ln.replace(" ", sep) + data.draw(eols) for ln in lines[:-1])
+    path = tmp_path_factory.mktemp("grid") / "g.asc"
+    path.write_bytes(text.encode("ascii"))
+    back, back_grid = read_ascii_grid(path)
+    expected, geometry = per_line_ascii_grid(text)
+    assert (back_grid.origin_x, back_grid.origin_y, back_grid.cell,
+            back_grid.ncols, back_grid.nrows) == geometry
+    assert back.tobytes() == expected.tobytes()
+
+
+def test_reader_skips_blank_lines_like_oracle(tmp_path):
+    text = (
+        "\nncols 2\n\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value -9999\n\n1 -9999\n  \n3 4\n\n"
+    )
+    p = tmp_path / "b.asc"
+    p.write_text(text)
+    back, _ = read_ascii_grid(p)
+    expected, _ = per_line_ascii_grid(text)
+    assert np.array_equal(back, expected, equal_nan=True)
+
+
+def test_reader_errors_name_the_file(tmp_path):
+    head = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+    p = tmp_path / "bad.asc"
+    p.write_bytes(head.encode() + b"1 2 3\n4 5 \xe9\n")
+    with pytest.raises(HeaderMismatchError, match=r"bad\.asc: non-ASCII byte 0xe9"):
+        read_ascii_grid(p)
+    p.write_text(head + "1 2 3\n4 5\n")
+    with pytest.raises(HeaderMismatchError, match="data row 2 has 2 values, header declares ncols 3"):
+        read_ascii_grid(p)
+    p.write_text(head + "1 2 3\n")
+    with pytest.raises(HeaderMismatchError, match="header declares 2 rows but file has 1"):
+        read_ascii_grid(p)
+    p.write_text(head)
+    with pytest.raises(HeaderMismatchError, match="header declares 2 rows but file has 0"):
+        read_ascii_grid(p)

@@ -14,6 +14,10 @@ from breakline_dtm.errors import (
 from breakline_dtm.ingest import (
     BBox,
     PointCloud,
+    _drop_nonfinite,
+    _parse_xyz_bulk,
+    _parse_xyz_lines,
+    _read_xyz_text,
     bounds,
     read_points,
     write_points_xyz,
@@ -189,3 +193,108 @@ def test_pointcloud_is_read_only():
     pc = read_points(b"1 2 3\n")
     with pytest.raises(ValueError):
         pc.xyz[0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "axis, scale",
+    [("x", (0.0, 0.01, 0.01)), ("y", (0.01, float("nan"), 0.01)), ("z", (0.01, 0.01, float("inf")))],
+)
+def test_las_unusable_scale_factor_rejected(axis, scale):
+    data = make_las([(1, 2, 3), (4, 5, 6)], scale=scale)
+    with pytest.raises(UnsupportedFormatError, match=f"LAS {axis} scale factor"):
+        read_points(data)
+
+
+def test_cli_las_zero_scale_exits_2(tmp_path, capsys):
+    from breakline_dtm.cli import main
+
+    path = tmp_path / "zero.las"
+    path.write_bytes(make_las([(1, 2, 3), (4, 5, 6)], scale=(0.01, 0.01, 0.0)))
+    assert main(["dtm", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "LAS z scale factor is 0.0" in capsys.readouterr().err
+
+
+def _per_line_read(data, strict):
+    """The per-line parser alone, without the bulk fast path."""
+    xyz, skipped = _parse_xyz_lines(data, strict)
+    xyz, dropped = _drop_nonfinite(xyz)
+    if xyz.shape[0] == 0:
+        raise EmptyInputError("no valid points in text input")
+    return PointCloud(xyz, dropped_nonfinite=dropped, skipped_records=skipped)
+
+
+def _outcome(read, data, strict):
+    try:
+        pc = read(data, strict)
+    except (EmptyInputError, MalformedRecordError, UnsupportedFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    return pc.xyz.shape, pc.xyz.tobytes(), pc.skipped_records, pc.dropped_nonfinite
+
+
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e5, 1e5).map(lambda v: f"{v:.6f}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e5, 1e5).map(lambda v: f"{v:.3e}"),
+)
+_odd_token = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "+Infinity", "1_0", "1e5_0", ".5", "5.", "+1.5", "1e500",
+    "0x10", "abc", "1d5", "1.5e", "-", "\x00", "3\x01", "\x7f", "\u00e9", "\u0661",
+])
+_sep = st.sampled_from([" ", "\t", "  ", " \t ", ",", ", ", "\x1f", "\u00a0"])
+_eol = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\u2028"])
+
+
+def _sometimes(draw):
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _xyz_text(draw):
+    """XYZ text that is clean except for a few independently drawn defects."""
+    odd_tokens, odd_seps, odd_eols, comments, bad_bytes = (_sometimes(draw) for _ in range(5))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 5) if odd_tokens else st.integers(3, 5))
+        token = st.one_of(_number, _odd_token) if odd_tokens else _number
+        sep = draw(_sep if odd_seps else st.sampled_from([" ", "\t", "  "]))
+        line = draw(st.sampled_from(["", " ", "\t"])) + sep.join(draw(token) for _ in range(n))
+        if comments:
+            line += draw(st.sampled_from(["", " # note", "#"]))
+            line = draw(st.sampled_from([line, line, "# comment"]))
+        lines.append(draw(st.sampled_from([line, line, line, ""])))
+    eol = draw(_eol if odd_eols else st.sampled_from(["\n", "\r\n"]))
+    data = (eol.join(lines) + draw(st.sampled_from([eol, "", "\n\n"]))).encode("utf-8")
+    if bad_bytes:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x85", b"\xa0"])) + data[cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(_xyz_text(), st.booleans())
+def test_xyz_fast_path_matches_per_line_parser(data, strict):
+    assert _outcome(_read_xyz_text, data, strict) == _outcome(_per_line_read, data, strict)
+
+
+def test_xyz_bulk_path_taken_only_on_plain_text():
+    assert _parse_xyz_bulk(b"1 2 3\r\n4\t5 6 extra\n\n") is not None
+    for data in (b"# c\n1 2 3\n", b"1,2,3\n", b"1 2 3\n4 5\n", b"1 2 3\xc3\xa9\n"):
+        assert _parse_xyz_bulk(data) is None
+
+
+@pytest.mark.parametrize("data", [
+    b"1 2 3\n4 5 6\n",
+    b"  1\t2\t3 extra fields\r\n4 5 6 7\r\n\n",
+    b"1 2 3\n4 5 nan\n-inf 1 2\n",
+    b"\n \n",
+    b"nan 1 2\n",
+    *(b"1 2 3" + ctrl + b"4 5 6\n" for ctrl in (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")),
+    b"1 2 3\n4 5 6\xa0\n",
+    b"1 2 3\r4 5 6\r",
+    b"1_0 2 3\n",
+    b"1 2 3\x00\n",
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_xyz_fast_path_examples(data, strict):
+    assert _outcome(_read_xyz_text, data, strict) == _outcome(_per_line_read, data, strict)

@@ -220,6 +220,37 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli(["water", pts, "--out-dir", tmp_path, "--window", "4"]) == 3
 
 
+def _grid_header(ncols, nrows):
+    return (
+        f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
+        "cellsize 1\nNODATA_value -9999\n"
+    )
+
+
+def _compare_bad_grid(tmp_path, capsys, payload):
+    grid = GridSpec(0, 0, 1.0, 3, 2)
+    write_ascii_grid(np.zeros((2, 3)), grid, tmp_path / "a.asc")
+    bad = tmp_path / "bad.asc"
+    bad.write_bytes(payload)
+    code = run_cli(["compare", tmp_path / "a.asc", bad, "--out", tmp_path / "t.csv"])
+    return code, capsys.readouterr().err
+
+
+def test_cli_compare_non_ascii_grid_is_input_error(tmp_path, capsys):
+    payload = _grid_header(3, 2).encode() + "1 2 3\n4 5 caf\u00e9\n".encode("latin-1")
+    code, err = _compare_bad_grid(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "bad.asc: non-ASCII byte 0xe9 at offset" in err
+
+
+def test_cli_compare_ragged_grid_row_names_row_and_counts(tmp_path, capsys):
+    payload = (_grid_header(3, 2) + "1 2 3\n4 5\n").encode()
+    code, err = _compare_bad_grid(tmp_path, capsys, payload)
+    assert code == 2
+    assert "bad.asc: data row 2 has 2 values, header declares ncols 3" in err
+
+
 def test_cli_dtm_from_las_file(tmp_path):
     from test_ingest import make_las
 
