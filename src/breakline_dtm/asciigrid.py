@@ -9,6 +9,7 @@ format stores the top row first, so rows are flipped on the way through.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from pathlib import Path
@@ -94,9 +95,10 @@ def _ragged_row(body: io.BytesIO, offset: int, ncols: int) -> str | None:
 def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
     """Read a raster back; NODATA cells come back as NaN.
 
-    A malformed file (a non-ASCII byte, a missing header key, wrong row
-    or column counts, a non-numeric cell) raises HeaderMismatchError
-    naming the file.
+    A malformed file (a non-ASCII byte, a missing or non-finite header
+    value, a non-integer or non-positive ncols/nrows, a non-positive
+    cellsize, wrong row or column counts, a non-numeric cell) raises
+    HeaderMismatchError naming the file.
     """
     raw = Path(path).read_bytes()
     try:
@@ -112,6 +114,18 @@ def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise HeaderMismatchError(f"{path}: ASCII grid header missing {missing}")
+    for key, value in header.items():
+        if not math.isfinite(value):
+            raise HeaderMismatchError(f"{path}: header {key} is not finite: {value}")
+    for key in ("ncols", "nrows"):
+        if header[key] < 1 or header[key] != int(header[key]):
+            raise HeaderMismatchError(
+                f"{path}: header {key} must be a positive integer, got {header[key]}"
+            )
+    if header["cellsize"] <= 0:
+        raise HeaderMismatchError(
+            f"{path}: header cellsize must be > 0, got {header['cellsize']}"
+        )
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     nodata = header["nodata_value"]

@@ -166,7 +166,6 @@ def _cmd_dtm(args) -> int:
             args.window, args.confidence, args.percentile, args.min_segment_px
         ),
         strict_parse=args.strict,
-        emit_intermediates=args.emit_intermediates,
         workers=args.workers,
         crop=None if args.crop is None else _crop_bbox(args.crop),
         input_format=args.format,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ParameterError
 from .raster import GridSpec
@@ -88,30 +89,6 @@ def label_regions(mask: BreakMask) -> Segmentation:
     return Segmentation(mask.grid, lab, n)
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counter-clockwise, of an (n, 2) point set."""
-    pts = np.unique(points, axis=0)  # sorts lexicographically
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        hull: list[np.ndarray] = []
-        for p in seq:
-            while len(hull) >= 2:
-                a, b = hull[-2], hull[-1]
-                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                if cross <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        return hull
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
-
-
 def min_area_rect(points: np.ndarray) -> float:
     """Area of the minimum rotated rectangle enclosing an (n, 2) point set.
 
@@ -119,13 +96,16 @@ def min_area_rect(points: np.ndarray) -> float:
     side collinear with a hull edge, so checking every edge direction is
     exhaustive.
     """
-    hull = _convex_hull(np.asarray(points, dtype=np.float64))
-    if len(hull) <= 2:
-        return 0.0  # degenerate: a point or a segment has zero area
+    points = np.asarray(points, dtype=np.float64)
+    try:
+        hull = points[ConvexHull(points).vertices]  # counter-clockwise in 2-D
+    except QhullError:
+        return 0.0  # fewer than 3 distinct points or all collinear: zero area
+    # start at the lexicographically smallest vertex, as a monotone chain
+    # does, so the matrix products below always see the same array
+    hull = np.roll(hull, -np.lexsort((hull[:, 1], hull[:, 0]))[0], axis=0)
     edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    keep = lengths > 0
-    dirs = edges[keep] / lengths[keep, None]
+    dirs = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
     normals = np.column_stack([-dirs[:, 1], dirs[:, 0]])
     u = dirs @ hull.T
     v = normals @ hull.T
@@ -140,35 +120,25 @@ def _region_boundary_corners(seg: Segmentation) -> list[np.ndarray]:
     contribute hull vertices, so their corners are enough for an exact
     minimum-rectangle computation.
     """
-    lab = seg.label
-    nz = np.flatnonzero(lab.ravel())
+    flat = seg.label.ravel()
+    nz = np.flatnonzero(flat)
     if nz.size == 0:
         return []
-    labels = lab.ravel()[nz]
-    rows = nz // seg.grid.ncols
-    cols = nz % seg.grid.ncols
-
-    order = np.lexsort((cols, rows, labels))
-    labels, rows, cols = labels[order], rows[order], cols[order]
+    # nz is row-major, so a stable sort by label orders by (label, row, col)
+    nz = nz[np.argsort(flat[nz], kind="stable")]
+    labels = flat[nz]
+    rows, cols = np.divmod(nz, seg.grid.ncols)
     group = labels.astype(np.int64) * seg.grid.nrows + rows
     starts = np.flatnonzero(np.diff(group, prepend=group[0] - 1))
     ends = np.append(starts[1:], group.size) - 1
 
-    corners_per_region: list[list[tuple[int, int]]] = [
-        [] for _ in range(seg.region_count)
-    ]
-    g_lab = labels[starts]
-    g_row = rows[starts]
-    g_cmin = cols[starts]
-    g_cmax = cols[ends]
-    for lb, r, cmin, cmax in zip(g_lab, g_row, g_cmin, g_cmax):
-        bucket = corners_per_region[lb - 1]
-        for c in (cmin, cmax):
-            bucket.append((c, r))
-            bucket.append((c + 1, r))
-            bucket.append((c, r + 1))
-            bucket.append((c + 1, r + 1))
-    return [np.asarray(b, dtype=np.float64) for b in corners_per_region]
+    left, right, r = cols[starts], cols[ends], rows[starts]
+    # per group: the four corners of its leftmost, then of its rightmost pixel
+    x = np.column_stack([left, left + 1, left, left + 1, right, right + 1, right, right + 1])
+    y = np.column_stack([r, r, r + 1, r + 1] * 2)
+    corners = np.stack([x, y], axis=-1).reshape(-1, 2).astype(np.float64)
+    groups_per_region = np.bincount(labels[starts], minlength=seg.region_count + 1)[1:]
+    return np.split(corners, 8 * np.cumsum(groups_per_region)[:-1])
 
 
 def region_stats(seg: Segmentation) -> RegionStats:

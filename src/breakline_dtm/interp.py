@@ -18,14 +18,12 @@ from scipy.interpolate import LinearNDInterpolator
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import InsufficientGroundError
-from .groundfilter import GroundMask
+from .groundfilter import _FOUR, GroundMask, label_4connected
 from .raster import Dsm, GridSpec, nearest_donor_indices
 
 SOURCE_MEASURED = 0
 SOURCE_INTERPOLATED = 1
 SOURCE_WATER = 2
-
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.int8)
 
 
 @dataclass
@@ -95,7 +93,7 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         return DtmRaster(dsm.grid, elev, source)
     source[masked] = SOURCE_INTERPOLATED
 
-    holes, n_holes = ndimage.label(masked, structure=_FOUR)
+    holes, n_holes = label_4connected(masked)
     slices = ndimage.find_objects(holes)
     for hole_id in range(1, n_holes + 1):
         rs, cs = slices[hole_id - 1]
@@ -126,12 +124,8 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         else:
             outside = ~np.isfinite(values)
             if outside.any():
-                donor_mask = np.zeros(hole.shape, dtype=bool)
-                donor_mask[rim_rc[:, 0], rim_rc[:, 1]] = True
-                donors = nearest_donor_indices(donor_mask)
-                win_z = np.where(rim, dsm.elev[rs, cs], np.nan).ravel()
                 flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]
-                values[outside] = win_z[donors[flat]]
+                values[outside] = dsm.elev[rs, cs].flat[nearest_donor_indices(rim, flat)]
 
         sub = elev[rs, cs]
         sub[hole_rc[:, 0], hole_rc[:, 1]] = values

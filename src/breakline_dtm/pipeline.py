@@ -38,7 +38,6 @@ class PipelineConfig:
     filter_params: FilterParams = field(default_factory=FilterParams)
     water_params: WaterParams = field(default_factory=WaterParams)
     strict_parse: bool = False
-    emit_intermediates: bool = False
     workers: int = 1
     crop: BBox | None = None
     input_format: str = "auto"

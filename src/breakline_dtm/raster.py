@@ -152,40 +152,37 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     return SparseDsm(grid, elev, occ, dropped)
 
 
-def nearest_donor_indices(donor_mask: np.ndarray) -> np.ndarray:
-    """Flat index of the Euclidean-nearest donor cell for every cell.
+def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Flat index of the Euclidean-nearest donor cell for each flat index in ``targets``.
 
-    Distances are between cell centers.  Equidistant donors resolve to the
-    one with the smallest row-major index, which makes the result
-    data-deterministic (independent of library internals and threading).
+    Distances are between cell centers; a donor cell is its own nearest
+    donor.  Equidistant donors resolve to the one with the smallest
+    row-major index, which makes the result data-deterministic
+    (independent of library internals and threading).  Only the targets
+    are resolved; the exact EDT over the whole mask gives their distances.
     """
     donor_mask = np.asarray(donor_mask, dtype=bool)
     if not donor_mask.any():
         raise AllVoidError("no donor cells available")
     nrows, ncols = donor_mask.shape
+    targets = np.asarray(targets, dtype=np.int64)
 
-    _, (ir, ic) = ndimage.distance_transform_edt(~donor_mask, return_indices=True)
-    rr, cc = np.indices(donor_mask.shape)
-    d2 = (rr - ir) ** 2 + (cc - ic) ** 2  # exact integer squared distances
-    donor = (ir.astype(np.int64) * ncols + ic).ravel()
+    ir, ic = ndimage.distance_transform_edt(
+        ~donor_mask, return_distances=False, return_indices=True
+    )
+    ir = ir.ravel()[targets].astype(np.int64)
+    ic = ic.ravel()[targets].astype(np.int64)
+    donor = ir * ncols + ic
+    tr, tc = np.divmod(targets, ncols)
+    t_d2 = (tr - ir) ** 2 + (tc - ic) ** 2  # exact integer squared distances
 
     # Tie-break pass: within each squared-distance shell, try donor offsets
     # in increasing row-major delta so the first hit is the smallest donor.
-    targets = np.flatnonzero(~donor_mask.ravel())
-    if targets.size == 0:
-        return donor
-    t_d2 = d2.ravel()[targets]
     order = np.argsort(t_d2, kind="stable")
-    targets = targets[order]
-    t_d2 = t_d2[order]
-    shell_starts = np.searchsorted(t_d2, np.unique(t_d2))
-    shell_bounds = list(shell_starts) + [targets.size]
-
-    tr = targets // ncols
-    tc = targets % ncols
-    for si in range(len(shell_bounds) - 1):
-        lo, hi = shell_bounds[si], shell_bounds[si + 1]
-        dist2 = int(t_d2[lo])
+    shell_starts = np.flatnonzero(np.diff(t_d2[order], prepend=-1))
+    for lo, hi in zip(shell_starts, np.append(shell_starts[1:], order.size)):
+        idx = order[lo:hi]
+        dist2 = int(t_d2[idx[0]])
         offsets = []
         rmax = math.isqrt(dist2)
         for dr in range(-rmax, rmax + 1):
@@ -197,9 +194,9 @@ def nearest_donor_indices(donor_mask: np.ndarray) -> np.ndarray:
                     offsets.append((dr, -dc))
         offsets.sort(key=lambda o: o[0] * ncols + o[1])
 
-        r = tr[lo:hi]
-        c = tc[lo:hi]
-        unassigned = np.ones(hi - lo, dtype=bool)
+        r = tr[idx]
+        c = tc[idx]
+        unassigned = np.ones(idx.size, dtype=bool)
         for dr, dc in offsets:
             if not unassigned.any():
                 break
@@ -211,7 +208,7 @@ def nearest_donor_indices(donor_mask: np.ndarray) -> np.ndarray:
             hit = ok.copy()
             hit[ok] = donor_mask[nr[ok], nc[ok]]
             if hit.any():
-                donor[targets[lo:hi][hit]] = nr[hit] * ncols + nc[hit]
+                donor[idx[hit]] = nr[hit] * ncols + nc[hit]
                 unassigned &= ~hit
     return donor
 
@@ -221,6 +218,7 @@ def fill_voids_nearest(sparse: SparseDsm) -> Dsm:
     occupied = sparse.occupancy > 0
     if not occupied.any():
         raise AllVoidError("cannot fill a raster with no occupied cells")
-    donor = nearest_donor_indices(occupied)
-    filled = sparse.elev.ravel()[donor].reshape(sparse.grid.shape)
+    voids = np.flatnonzero(~occupied)
+    filled = sparse.elev.copy()
+    filled.flat[voids] = sparse.elev.flat[nearest_donor_indices(occupied, voids)]
     return Dsm(sparse.grid, filled)

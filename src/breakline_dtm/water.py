@@ -157,27 +157,29 @@ def water_segments(mask: np.ndarray, sparse: SparseDsm, wp: WaterParams) -> Wate
         return WaterMap(sparse.grid, np.zeros_like(mask), lab, [])
 
     occupied = sparse.occupancy > 0
+    elev = sparse.elev.ravel()
     flat_lab = lab.ravel()
     segments: list[WaterSegment] = []
-    donor = None
+    dry: list[WaterSegment] = []
     for seg_id in range(1, n + 1):
         pixels = np.flatnonzero(flat_lab == seg_id)
+        segments.append(WaterSegment(seg_id, pixels, float("nan")))
         occ_px = pixels[occupied.ravel()[pixels]]
         if occ_px.size:
-            elevation = nearest_rank(sparse.elev.ravel()[occ_px], wp.percentile)
-        elif occupied.any():
-            if donor is None:
-                donor = nearest_donor_indices(occupied)
-            # closest occupied cell over the whole segment, deterministic ties
-            rr = pixels // sparse.grid.ncols
-            cc = pixels % sparse.grid.ncols
-            dr = rr - donor[pixels] // sparse.grid.ncols
-            dc = cc - donor[pixels] % sparse.grid.ncols
-            best = int(np.argmin(dr * dr + dc * dc))
-            elevation = float(sparse.elev.ravel()[donor[pixels[best]]])
+            segments[-1].elevation = nearest_rank(elev[occ_px], wp.percentile)
         else:
-            elevation = float("nan")
-        segments.append(WaterSegment(seg_id, pixels, elevation))
+            dry.append(segments[-1])
+
+    if dry and occupied.any():
+        # one lookup for the pixels of every segment without an occupied cell
+        pixels = np.concatenate([seg.pixels for seg in dry])
+        donor = nearest_donor_indices(occupied, pixels)
+        ncols = sparse.grid.ncols
+        d2 = (pixels // ncols - donor // ncols) ** 2 + (pixels % ncols - donor % ncols) ** 2
+        split = np.cumsum([seg.pixel_count for seg in dry])[:-1]
+        for seg, seg_d2, seg_donor in zip(dry, np.split(d2, split), np.split(donor, split)):
+            # closest occupied cell over the whole segment, deterministic ties
+            seg.elevation = float(elev[seg_donor[np.argmin(seg_d2)]])
 
     return WaterMap(sparse.grid, lab > 0, lab, segments)
 

@@ -38,20 +38,24 @@ def bfs_label_4connected(mask):
     return labels, n
 
 
+def brute_nearest_donor(donor_mask, targets):
+    """Per flat target index: the nearest donor's flat index, the smallest on ties."""
+    ncols = donor_mask.shape[1]
+    occ_rc = np.argwhere(donor_mask)
+    occ_flat = occ_rc[:, 0] * ncols + occ_rc[:, 1]
+    out = []
+    for t in targets:
+        r, c = divmod(int(t), ncols)
+        d2 = (occ_rc[:, 0] - r) ** 2 + (occ_rc[:, 1] - c) ** 2
+        out.append(occ_flat[d2 == d2.min()].min())
+    return np.array(out, dtype=np.int64)
+
+
 def brute_nearest_fill(elev, occupied):
     """O(voids * occupied) nearest-occupied fill, smallest row-major donor on ties."""
-    nrows, ncols = occupied.shape
-    occ_rc = np.argwhere(occupied)
-    occ_flat = occ_rc[:, 0] * ncols + occ_rc[:, 1]
-    flat_elev = elev.ravel()
+    voids = np.flatnonzero(~occupied)
     out = elev.copy()
-    for r in range(nrows):
-        for c in range(ncols):
-            if occupied[r, c]:
-                continue
-            d2 = (occ_rc[:, 0] - r) ** 2 + (occ_rc[:, 1] - c) ** 2
-            donor = occ_flat[d2 == d2.min()].min()
-            out[r, c] = flat_elev[donor]
+    out.flat[voids] = elev.flat[brute_nearest_donor(occupied, voids)]
     return out
 
 
@@ -68,6 +72,65 @@ def brute_window_sums(arr, window):
             sums[r, c] = arr[r0:r1, c0:c1].sum()
             visible[r, c] = (r1 - r0) * (c1 - c0)
     return sums, visible
+
+
+def monotone_chain_hull(points):
+    """Andrew's monotone-chain hull, counter-clockwise from the smallest point.
+
+    Collinear points on an edge are dropped; fewer than three distinct
+    points come back as they are.
+    """
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        hull = []
+        for p in seq:
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+                if cross <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        return hull
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
+
+
+def calipers_min_rect_area(points):
+    """Rotating calipers over the monotone-chain hull: one rectangle per hull edge."""
+    hull = monotone_chain_hull(points)
+    if len(hull) <= 2:
+        return 0.0
+    edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
+    dirs = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    normals = np.column_stack([-dirs[:, 1], dirs[:, 0]])
+    u = dirs @ hull.T
+    v = normals @ hull.T
+    return float(((u.max(axis=1) - u.min(axis=1)) * (v.max(axis=1) - v.min(axis=1))).min())
+
+
+def row_extreme_corners(label, region_count):
+    """Per region: the pixel corners of each row's leftmost and rightmost pixel.
+
+    Corners are (x, y) = (col, row) in cell units, listed row by row, the
+    leftmost pixel's four before the rightmost pixel's four.
+    """
+    buckets = [[] for _ in range(region_count)]
+    nrows, ncols = label.shape
+    for lb in range(1, region_count + 1):
+        for r in range(nrows):
+            cols = [c for c in range(ncols) if label[r, c] == lb]
+            if not cols:
+                continue
+            for c in (min(cols), max(cols)):
+                buckets[lb - 1] += [(c, r), (c + 1, r), (c, r + 1), (c + 1, r + 1)]
+    return [np.asarray(b, dtype=np.float64) for b in buckets]
 
 
 def sweep_min_rect_area(points, step_deg=0.05, refine=True):

@@ -165,3 +165,18 @@ def test_reader_errors_name_the_file(tmp_path):
     p.write_text(head)
     with pytest.raises(HeaderMismatchError, match="header declares 2 rows but file has 0"):
         read_ascii_grid(p)
+    for key, value, message in [
+        ("ncols", "2.7", "header ncols must be a positive integer, got 2.7"),
+        ("ncols", "-3", "header ncols must be a positive integer, got -3.0"),
+        ("nrows", "0", "header nrows must be a positive integer, got 0.0"),
+        ("xllcorner", "nan", "header xllcorner is not finite: nan"),
+        ("yllcorner", "-inf", "header yllcorner is not finite: -inf"),
+        ("cellsize", "inf", "header cellsize is not finite: inf"),
+        ("NODATA_value", "nan", "header nodata_value is not finite: nan"),
+        ("cellsize", "0", r"header cellsize must be > 0, got 0\.0"),
+        ("cellsize", "-1", r"header cellsize must be > 0, got -1\.0"),
+    ]:
+        lines = [f"{key} {value}" if ln.split()[0] == key else ln for ln in head.splitlines()]
+        p.write_text("\n".join(lines) + "\n1 2 3\n4 5 6\n")
+        with pytest.raises(HeaderMismatchError, match=rf"bad\.asc: {message}"):
+            read_ascii_grid(p)

@@ -11,11 +11,17 @@ from breakline_dtm.groundfilter import (
     classify_regions,
     label_4connected,
     label_regions,
+    min_area_rect,
     region_stats,
 )
 from breakline_dtm.raster import GridSpec
 from breakline_dtm.slope import BreakMask
-from oracles import bfs_label_4connected, sweep_min_rect_area
+from oracles import (
+    bfs_label_4connected,
+    calipers_min_rect_area,
+    row_extreme_corners,
+    sweep_min_rect_area,
+)
 
 
 def break_mask(arr):
@@ -161,6 +167,49 @@ def test_min_rect_never_smaller_than_region(seed):
     stats = region_stats(seg)
     assert stats.rectangularity[0] <= 1.0 + 1e-9
     assert stats.area_m2[0] > 0
+
+
+# integer and half-integer coordinates: pixel corners at cell units and halves
+coords = st.integers(-12, 12).map(lambda v: v / 2)
+point_sets = st.one_of(
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=40),
+    st.lists(st.sampled_from([(0.0, 0.0), (1.0, 0.5), (2.5, 3.0)]), min_size=1, max_size=8),
+    # collinear: points a + t * d on one line
+    st.builds(
+        lambda a, d, ts: [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts],
+        st.tuples(coords, coords),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets)
+def test_min_area_rect_equals_monotone_chain_oracle(points):
+    pts = np.array(points, dtype=np.float64)
+    assert min_area_rect(pts) == calipers_min_rect_area(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nrows=st.integers(1, 20),
+    ncols=st.integers(1, 20),
+    labels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_stats_equals_row_corner_oracle(nrows, ncols, labels, seed):
+    # regions need not be connected; the k-th smallest value drawn is label k
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, labels + 1, size=(nrows, ncols))
+    present = np.unique(raw[raw > 0])
+    lab = (np.searchsorted(present, raw) + (raw > 0)).astype(np.int32)
+    cell = 0.5
+    seg = Segmentation(GridSpec(0, 0, cell, ncols, nrows), lab, present.size)
+    stats = region_stats(seg)
+    mbr = [calipers_min_rect_area(c) * cell * cell for c in row_extreme_corners(lab, present.size)]
+    assert stats.mbr_area_m2.tobytes() == np.array(mbr, dtype=np.float64).tobytes()
+    assert stats.pixel_count.tolist() == [int((lab == i).sum()) for i in range(1, present.size + 1)]
 
 
 def make_stats(area_m2, rect, cell=0.5):

@@ -251,6 +251,16 @@ def test_cli_compare_ragged_grid_row_names_row_and_counts(tmp_path, capsys):
     assert "bad.asc: data row 2 has 2 values, header declares ncols 3" in err
 
 
+def test_cli_compare_bad_grid_header_is_input_error(tmp_path, capsys):
+    # a truncated ncols, a NaN origin and a zero cell size all fault the file
+    for old, new in [("ncols 3", "ncols 2.7"), ("xllcorner 0", "xllcorner nan"),
+                     ("cellsize 1", "cellsize 0")]:
+        payload = (_grid_header(3, 2).replace(old, new) + "1 2 3\n4 5 6\n").encode()
+        code, err = _compare_bad_grid(tmp_path, capsys, payload)
+        assert code == 2, err
+        assert err.startswith("input error: ") and "bad.asc: header " + new.split()[0] in err
+
+
 def test_cli_dtm_from_las_file(tmp_path):
     from test_ingest import make_las
 

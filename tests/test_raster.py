@@ -10,9 +10,10 @@ from breakline_dtm.raster import (
     SparseDsm,
     fill_voids_nearest,
     make_grid_spec,
+    nearest_donor_indices,
     rasterize_min,
 )
-from oracles import brute_nearest_fill
+from oracles import brute_nearest_donor, brute_nearest_fill
 
 
 def test_make_grid_spec_exact_and_ceil():
@@ -169,3 +170,31 @@ def test_fill_matches_brute_force_oracle(nrows, ncols, seed):
     dsm = fill_voids_nearest(sp)
     expected = brute_nearest_fill(elev, occ > 0)
     assert np.array_equal(dsm.elev, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nrows=st.integers(1, 16),
+    ncols=st.integers(1, 16),
+    density=st.sampled_from([0.02, 0.1, 0.3, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_nearest_donor_indices_match_brute_force_on_targets(nrows, ncols, density, seed, data):
+    rng = np.random.default_rng(seed)
+    donors = rng.uniform(size=(nrows, ncols)) < density
+    if not donors.any():
+        donors[rng.integers(nrows), rng.integers(ncols)] = True
+    # any cells, donor cells among them, in any order and with repeats
+    targets = np.array(
+        data.draw(st.lists(st.integers(0, nrows * ncols - 1), max_size=3 * nrows * ncols)),
+        dtype=np.int64,
+    )
+    got = nearest_donor_indices(donors, targets)
+    assert got.dtype == np.int64
+    assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+
+
+def test_nearest_donor_indices_no_donor_raises():
+    with pytest.raises(AllVoidError):
+        nearest_donor_indices(np.zeros((3, 3), dtype=bool), np.array([0, 4]))

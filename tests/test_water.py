@@ -155,6 +155,28 @@ def test_zero_occupied_segment_takes_nearest_occupied_elevation():
     assert wm.segments[0].elevation == 42.0
 
 
+def test_dry_segments_share_one_nearest_donor_lookup(monkeypatch):
+    from breakline_dtm import water
+
+    real = water.nearest_donor_indices
+    calls = []
+    monkeypatch.setattr(
+        water, "nearest_donor_indices", lambda m, t: calls.append(t.size) or real(m, t)
+    )
+    occ = np.zeros((5, 12), dtype=np.int64)
+    elev = np.full((5, 12), np.nan)
+    occ[2, 0], elev[2, 0] = 1, 10.0
+    occ[0, 11], elev[0, 11] = 1, 20.0
+    occ[4, 11], elev[4, 11] = 1, 30.0
+    mask = np.zeros((5, 12), dtype=bool)
+    mask[1:4, 2:4] = True  # closest to (2, 0)
+    mask[2, 6] = True  # (0, 11) and (4, 11) tie at d2 = 29; row-major picks (0, 11)
+    mask[2:4, 8:10] = True  # its pixel (3, 9) is closest, d2 = 5 to (4, 11)
+    wm = water_segments(mask, sparse_from(elev, occ), WaterParams())
+    assert calls == [6 + 1 + 4]
+    assert [seg.elevation for seg in wm.segments] == [10.0, 20.0, 30.0]
+
+
 def test_min_segment_px_filters_speckles():
     occ = np.ones((10, 10), dtype=np.int64)
     elev = np.ones((10, 10))
