@@ -36,12 +36,6 @@ from .water import WaterParams, water_mask, water_segments, water_threshold
 def _add_common_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cell", type=float, default=0.5, help="grid cell size in meters")
     p.add_argument(
-        "--format",
-        choices=("auto", "xyz_text", "las"),
-        default="auto",
-        help="input point format",
-    )
-    p.add_argument(
         "--strict", action="store_true", help="abort on the first malformed record"
     )
 
@@ -168,21 +162,20 @@ def _cmd_dtm(args) -> int:
         strict_parse=args.strict,
         workers=args.workers,
         crop=None if args.crop is None else _crop_bbox(args.crop),
-        input_format=args.format,
     )
     res = run_pipeline(args.input, cfg)
 
     grid = res.dtm.grid
     write_ascii_grid(res.dtm.elev, grid, out / "dtm.asc")
-    write_ascii_grid(res.ground.is_ground.astype(np.float64), grid, out / "ground_mask.asc")
-    write_ascii_grid(res.water.is_water.astype(np.float64), grid, out / "water_mask.asc")
+    write_ascii_grid(res.ground.is_ground, grid, out / "ground_mask.asc")
+    write_ascii_grid(res.water.is_water, grid, out / "water_mask.asc")
     if args.emit_intermediates:
         write_ascii_grid(res.dsm.elev, grid, out / "dsm.asc")
-        write_ascii_grid(res.sparse.occupancy.astype(np.float64), grid, out / "occupancy.asc")
+        write_ascii_grid(res.sparse.occupancy, grid, out / "occupancy.asc")
         write_ascii_grid(res.slope.slope_deg, grid, out / "slope.asc")
-        write_ascii_grid(res.breaks.is_break.astype(np.float64), grid, out / "break_mask.asc")
-        write_ascii_grid(res.segmentation.label.astype(np.float64), grid, out / "labels.asc")
-        write_ascii_grid(res.dtm.source.astype(np.float64), grid, out / "source.asc")
+        write_ascii_grid(res.breaks.is_break, grid, out / "break_mask.asc")
+        write_ascii_grid(res.segmentation.label, grid, out / "labels.asc")
+        write_ascii_grid(res.dtm.source, grid, out / "source.asc")
 
     with open(out / "regions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -211,21 +204,19 @@ def _write_water_csv(path: Path, wmap) -> None:
 
 
 def _read_to_dsm(args):
-    pc = read_points(args.input, args.format, args.strict)
-    grid = make_grid_spec(bounds(pc), args.cell)
-    sparse = rasterize_min(pc, grid, getattr(args, "workers", 1))
-    return pc, sparse
+    pc = read_points(args.input, args.strict)
+    return rasterize_min(pc, make_grid_spec(bounds(pc), args.cell), args.workers)
 
 
 def _cmd_slope(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, sparse = _read_to_dsm(args)
+    sparse = _read_to_dsm(args)
     dsm = fill_voids_nearest(sparse)
     slp = slope_map(dsm)
     mask = break_line_mask(slp, args.slope_threshold)
     write_ascii_grid(slp.slope_deg, slp.grid, out / "slope.asc")
-    write_ascii_grid(mask.is_break.astype(np.float64), mask.grid, out / "break_mask.asc")
+    write_ascii_grid(mask.is_break, mask.grid, out / "break_mask.asc")
     print(f"slope map written to {out / 'slope.asc'}")
     return 0
 
@@ -234,11 +225,11 @@ def _cmd_water(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wp = WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
-    _, sparse = _read_to_dsm(args)
+    sparse = _read_to_dsm(args)
     threshold = water_threshold(sparse.occupancy, wp)
     mask = water_mask(sparse.occupancy, threshold, wp.window)
     wmap = water_segments(mask, sparse, wp)
-    write_ascii_grid(wmap.is_water.astype(np.float64), wmap.grid, out / "water_mask.asc")
+    write_ascii_grid(wmap.is_water, wmap.grid, out / "water_mask.asc")
     _write_water_csv(out / "water_segments.csv", wmap)
     nonvoid = int((sparse.occupancy > 0).sum())
     print(
@@ -284,8 +275,8 @@ def _cmd_synth(args) -> int:
     grid = make_grid_spec(scn.extent, args.cell)
     truth = truth_rasters(scn, grid)
     write_ascii_grid(truth.dtm, grid, out / "truth_dtm.asc")
-    write_ascii_grid(truth.ground_mask.astype(np.float64), grid, out / "truth_ground.asc")
-    write_ascii_grid(truth.water_mask.astype(np.float64), grid, out / "truth_water.asc")
+    write_ascii_grid(truth.ground_mask, grid, out / "truth_ground.asc")
+    write_ascii_grid(truth.water_mask, grid, out / "truth_water.asc")
     print(f"{pc.count} points written to {out / 'points.xyz'}")
     return 0
 

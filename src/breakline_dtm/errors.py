@@ -54,7 +54,7 @@ class EmptyExtentError(InputDataError):
 
 
 class NonPositiveCellError(ParameterError):
-    """Grid cell size must be > 0."""
+    """Grid cell size must be finite and > 0."""
 
 
 class BadThresholdError(ParameterError):

@@ -43,6 +43,8 @@ class BBox:
     max_y: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.min_x, self.min_y, self.max_x, self.max_y))):
+            raise ValueError(f"non-finite bbox: {self}")
         if self.min_x > self.max_x or self.min_y > self.max_y:
             raise ValueError(f"inverted bbox: {self}")
 
@@ -163,8 +165,6 @@ def _read_las(data: bytes, strict: bool) -> PointCloud:
     """Decode the common 12-byte XYZ prefix of LAS 1.2-1.4 point records."""
     if len(data) < _LAS_MIN_HEADER:
         raise UnsupportedFormatError("LAS input shorter than the public header")
-    if data[:4] != _LAS_MAGIC:
-        raise UnsupportedFormatError("missing LASF magic")
 
     ver_major, ver_minor = data[24], data[25]
     if ver_major != 1 or not 0 <= ver_minor <= 4:
@@ -232,27 +232,24 @@ def _to_bytes(source) -> bytes:
     raise TypeError(f"cannot read points from {type(source).__name__}")
 
 
-def read_points(source, fmt: str = "auto", strict: bool = False) -> PointCloud:
+def read_points(source, strict: bool = False) -> PointCloud:
     """Read a point cloud from a path, byte string or binary stream.
+
+    Input that starts with the LASF magic is read as LAS, anything else
+    as XYZ text.
 
     Parameters
     ----------
     source : path, bytes or file-like
         Raw input.  Whole input is held in memory.
-    fmt : {"auto", "xyz_text", "las"}
-        ``auto`` sniffs the LASF magic and falls back to text.
     strict : bool
         When True a malformed record aborts with MalformedRecordError;
         otherwise bad records are skipped and counted.
     """
     data = _to_bytes(source)
-    if fmt == "auto":
-        fmt = "las" if data[:4] == _LAS_MAGIC else "xyz_text"
-    if fmt == "las":
+    if data[:4] == _LAS_MAGIC:
         return _read_las(data, strict)
-    if fmt == "xyz_text":
-        return _read_xyz_text(data, strict)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _read_xyz_text(data, strict)
 
 
 def bounds(pc: PointCloud) -> BBox:

@@ -11,7 +11,7 @@ alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class PipelineConfig:
     strict_parse: bool = False
     workers: int = 1
     crop: BBox | None = None
-    input_format: str = "auto"
 
     def parameter_echo(self) -> dict:
         """Every effective parameter, spelled out for the run report."""
@@ -56,9 +55,7 @@ class PipelineConfig:
             "min_segment_px": self.water_params.min_segment_px,
             "strict_parse": self.strict_parse,
             "workers": self.workers,
-            "crop": None
-            if self.crop is None
-            else [self.crop.min_x, self.crop.min_y, self.crop.max_x, self.crop.max_y],
+            "crop": None if self.crop is None else list(astuple(self.crop)),
         }
 
 
@@ -117,9 +114,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     if isinstance(source, PointCloud):
         pc = source
     else:
-        pc = timer.run(
-            "ingest", lambda: read_points(source, cfg.input_format, cfg.strict_parse)
-        )
+        pc = timer.run("ingest", lambda: read_points(source, cfg.strict_parse))
 
     bbox = timer.run("bounds", lambda: bounds(pc))
     grid = make_grid_spec(bbox, cfg.cell)
@@ -157,13 +152,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "skipped_records": pc.skipped_records,
             "out_of_bounds": sparse.oob_dropped,
         },
-        "grid": {
-            "origin_x": grid.origin_x,
-            "origin_y": grid.origin_y,
-            "cell": grid.cell,
-            "ncols": grid.ncols,
-            "nrows": grid.nrows,
-        },
+        "grid": asdict(grid),
         "density": {
             "nonvoid_cells": nonvoid,
             "total_cells": int(sparse.occupancy.size),
@@ -188,49 +177,33 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     return result
 
 
-def _crop_segments(res: PipelineResult, rs: slice, cs: slice, sub: GridSpec) -> list:
-    from .water import WaterSegment
-
-    ncols = res.dtm.grid.ncols
-    out = []
-    for seg in res.water.segments:
-        rr = seg.pixels // ncols
-        cc = seg.pixels % ncols
-        keep = (rr >= rs.start) & (rr < rs.stop) & (cc >= cs.start) & (cc < cs.stop)
-        if keep.any():
-            flat = (rr[keep] - rs.start) * sub.ncols + (cc[keep] - cs.start)
-            out.append(WaterSegment(seg.id, flat, seg.elevation))
-    return out
-
-
 def _crop_result(res: PipelineResult, crop: BBox) -> PipelineResult:
+    """Cut every raster field (one that carries a ``grid``) to the crop window.
+
+    Scalars, ``stats`` and ``report`` describe the full run and stay as
+    they are.  Water segments keep their pixels inside the window; a
+    segment with none there is dropped.
+    """
     rs, cs, sub = crop_window(res.dtm.grid, crop)
-    res.report["grid_cropped"] = {
-        "origin_x": sub.origin_x,
-        "origin_y": sub.origin_y,
-        "cell": sub.cell,
-        "ncols": sub.ncols,
-        "nrows": sub.nrows,
+    res.report["grid_cropped"] = asdict(sub)
+
+    def cut(raster):
+        arrays = {
+            f.name: getattr(raster, f.name)[rs, cs].copy()
+            for f in fields(raster)
+            if isinstance(getattr(raster, f.name), np.ndarray)
+        }
+        return replace(raster, grid=sub, **arrays)
+
+    cropped = {
+        f.name: cut(getattr(res, f.name))
+        for f in fields(res)
+        if hasattr(getattr(res, f.name), "grid")
     }
-    return PipelineResult(
-        DtmRaster(sub, res.dtm.elev[rs, cs].copy(), res.dtm.source[rs, cs].copy()),
-        GroundMask(sub, res.ground.is_ground[rs, cs].copy()),
-        WaterMap(
-            sub,
-            res.water.is_water[rs, cs].copy(),
-            res.water.label[rs, cs].copy(),
-            _crop_segments(res, rs, cs, sub),
-        ),
-        SparseDsm(
-            sub,
-            res.sparse.elev[rs, cs].copy(),
-            res.sparse.occupancy[rs, cs].copy(),
-            res.sparse.oob_dropped,
-        ),
-        Dsm(sub, res.dsm.elev[rs, cs].copy()),
-        SlopeMap(sub, res.slope.slope_deg[rs, cs].copy()),
-        BreakMask(sub, res.breaks.is_break[rs, cs].copy()),
-        Segmentation(sub, res.segmentation.label[rs, cs].copy(), res.segmentation.region_count),
-        res.stats,
-        res.report,
-    )
+    water = cropped["water"]
+    segments = [
+        replace(seg, pixels=np.flatnonzero(water.label == seg.id))
+        for seg in water.segments
+    ]
+    water.segments = [seg for seg in segments if seg.pixels.size]
+    return replace(res, **cropped)

@@ -29,8 +29,8 @@ class GridSpec:
     nrows: int
 
     def __post_init__(self) -> None:
-        if self.cell <= 0:
-            raise NonPositiveCellError(f"cell size must be > 0, got {self.cell}")
+        if not 0 < self.cell < math.inf:
+            raise NonPositiveCellError(f"cell size must be finite and > 0, got {self.cell}")
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError(f"grid must have at least one cell: {self}")
 
@@ -83,8 +83,8 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
     relative tolerance keeps exact multiples from spilling into an extra
     row or column through float noise.
     """
-    if cell <= 0:
-        raise NonPositiveCellError(f"cell size must be > 0, got {cell}")
+    if not 0 < cell < math.inf:
+        raise NonPositiveCellError(f"cell size must be finite and > 0, got {cell}")
     ncols = max(1, math.ceil(bbox.width / cell - 1e-9))
     nrows = max(1, math.ceil(bbox.height / cell - 1e-9))
     return GridSpec(bbox.min_x, bbox.min_y, cell, ncols, nrows)
@@ -95,18 +95,22 @@ def _bin_min_count(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     nrows, ncols = grid.shape
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    cx = (x - grid.origin_x) / grid.cell
+    cy = (y - grid.origin_y) / grid.cell
+    # make_grid_spec lets a grid end up to 1e-9 cell short of its bbox, so
+    # points in that sliver past the max edge are inside, like those on it
     inside = (
         (x >= grid.origin_x)
-        & (x <= grid.max_x)
+        & ((x <= grid.max_x) | (cx - 1e-9 <= ncols))
         & (y >= grid.origin_y)
-        & (y <= grid.max_y)
+        & ((y <= grid.max_y) | (cy - 1e-9 <= nrows))
     )
     dropped = int(xyz.shape[0] - inside.sum())
-    x, y, z = x[inside], y[inside], z[inside]
 
-    col = np.floor((x - grid.origin_x) / grid.cell).astype(np.int64)
-    row = np.floor((y - grid.origin_y) / grid.cell).astype(np.int64)
-    # points sitting exactly on the max edge belong to the last row/column
+    col = np.floor(cx[inside]).astype(np.int64)
+    row = np.floor(cy[inside]).astype(np.int64)
+    z = z[inside]
+    # points on the max edge or in the sliver belong to the last row/column
     np.minimum(col, ncols - 1, out=col)
     np.minimum(row, nrows - 1, out=row)
 

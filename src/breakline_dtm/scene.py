@@ -191,8 +191,10 @@ def sample_points(
     """
     density = scene.density if density is None else density
     seed = scene.seed if seed is None else seed
-    if density <= 0:
-        raise ParameterError(f"density must be > 0, got {density}")
+    if not 0 < density < math.inf:
+        raise ParameterError(f"density must be finite and > 0, got {density}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     ext = scene.extent
     area = ext.width * ext.height
     if area <= 0:

@@ -37,8 +37,8 @@ class WaterParams:
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ParameterError(f"window must be odd and >= 3, got {self.window}")
-        if self.k < 0:
-            raise ParameterError(f"confidence multiplier must be >= 0, got {self.k}")
+        if not 0 <= self.k < math.inf:
+            raise ParameterError(f"confidence multiplier must be in [0, inf), got {self.k}")
         if not 0.0 < self.percentile < 1.0:
             raise ParameterError(f"percentile must be in (0, 1), got {self.percentile}")
         if self.min_segment_px < 0:

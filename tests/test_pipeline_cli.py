@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
@@ -97,6 +98,105 @@ def test_pipeline_crop_window(scene_points):
     rwin = slice(200, 300)
     cwin = slice(200, 400)
     assert np.array_equal(res.dtm.elev, full.dtm.elev[rwin, cwin])
+
+
+# two lakes (the second splits into two water segments) and a building;
+# small enough to run the pipeline once per crop box
+CROP_SCENE = Scene(
+    extent=BBox(0, 0, 160, 160),
+    density=4.0,
+    seed=11,
+    plane=Plane(base=50.0),
+    buildings=[Building(110, 20, 20, 25, 8.0)],
+    waters=[
+        WaterBody(_rect_polygon(30, 30, 40, 30), level=48.0, suppression=0.0),
+        WaterBody(_rect_polygon(100, 90, 30, 40), level=47.0, suppression=0.05),
+    ],
+)
+CROP_FILTER = FilterParams(a1_m2=100.0, a2_m2=200.0)
+RASTER_ARRAYS = [
+    ("dtm", "elev"),
+    ("dtm", "source"),
+    ("ground", "is_ground"),
+    ("water", "is_water"),
+    ("water", "label"),
+    ("sparse", "elev"),
+    ("sparse", "occupancy"),
+    ("dsm", "elev"),
+    ("slope", "slope_deg"),
+    ("breaks", "is_break"),
+    ("segmentation", "label"),
+]
+
+
+@pytest.fixture(scope="module")
+def crop_points():
+    return sample_points(CROP_SCENE)
+
+
+@pytest.fixture(scope="module")
+def crop_full(crop_points):
+    return run_pipeline(crop_points, PipelineConfig(filter_params=CROP_FILTER))
+
+
+@pytest.mark.parametrize(
+    "crop, rows, cols",
+    [
+        # cuts segment 1, leaves out segments 2 and 3
+        (BBox(10.0, 10.0, 50.0, 40.0), slice(20, 80), slice(20, 100)),
+        # reaches past the grid on three sides, holds segments 2 and 3 whole
+        (BBox(-30.0, 70.0, 500.0, 200.0), slice(140, 320), slice(0, 320)),
+        # cuts segment 2, holds segment 3
+        (BBox(105.0, 100.0, 125.0, 125.0), slice(200, 250), slice(210, 250)),
+    ],
+)
+def test_pipeline_crop_equals_window_of_full_run(crop_points, crop_full, crop, rows, cols):
+    full = crop_full
+    res = run_pipeline(crop_points, PipelineConfig(filter_params=CROP_FILTER, crop=crop))
+    g = full.dtm.grid
+    sub = GridSpec(
+        g.origin_x + cols.start * g.cell,
+        g.origin_y + rows.start * g.cell,
+        g.cell,
+        cols.stop - cols.start,
+        rows.stop - rows.start,
+    )
+    for name in {name for name, _ in RASTER_ARRAYS}:
+        assert getattr(res, name).grid == sub
+    for name, attr in RASTER_ARRAYS:
+        got = getattr(getattr(res, name), attr)
+        want = getattr(getattr(full, name), attr)[rows, cols]
+        assert got.dtype == want.dtype and got.flags.c_contiguous, (name, attr)
+        assert np.array_equal(got, want, equal_nan=True), (name, attr)
+    assert res.sparse.oob_dropped == full.sparse.oob_dropped
+    assert res.segmentation.region_count == full.segmentation.region_count
+    for attr in ("pixel_count", "area_m2", "mbr_area_m2", "rectangularity"):
+        assert np.array_equal(getattr(res.stats, attr), getattr(full.stats, attr))
+
+    expected = []
+    for seg in full.water.segments:
+        r, c = np.divmod(seg.pixels, g.ncols)
+        inside = (r >= rows.start) & (r < rows.stop) & (c >= cols.start) & (c < cols.stop)
+        if inside.any():
+            flat = (r[inside] - rows.start) * sub.ncols + (c[inside] - cols.start)
+            expected.append((seg.id, flat.tolist(), seg.elevation))
+    got = [(seg.id, seg.pixels.tolist(), seg.elevation) for seg in res.water.segments]
+    assert got == expected
+    assert any(len(px) for _, px, _ in expected)
+
+    assert res.report["grid"] == full.report["grid"]
+    assert res.report["grid_cropped"] == {
+        "origin_x": sub.origin_x,
+        "origin_y": sub.origin_y,
+        "cell": sub.cell,
+        "ncols": sub.ncols,
+        "nrows": sub.nrows,
+    }
+    for key in ("parameters", "timings_s", "grid_cropped"):
+        res.report.pop(key)
+    assert res.report == {
+        k: v for k, v in full.report.items() if k not in ("parameters", "timings_s")
+    }
 
 
 def test_pipeline_accepts_xyz_file(tmp_path, scene_points):
@@ -351,3 +451,57 @@ def test_cli_determinism_across_workers(tmp_path):
     assert run_cli(args + ["--out-dir", out8, "--workers", "8"]) == 0
     for name in ("dtm.asc", "ground_mask.asc", "water_mask.asc"):
         assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+
+def test_cli_crop_writes_water_segments_inside_window(tmp_path, crop_points):
+    pts = tmp_path / "p.xyz"
+    write_points_xyz(crop_points, pts)
+    args = ["dtm", pts, "--a1", "100", "--a2", "200"]
+    assert run_cli(args + ["--out-dir", tmp_path / "full"]) == 0
+    crop = ["--crop", "10", "10", "50", "40"]
+    assert run_cli(args + ["--out-dir", tmp_path / "crop"] + crop) == 0
+
+    def rows_of(out):
+        return out.read_text().splitlines()[1:]
+
+    full_rows = {
+        row.split(",")[0]: row for row in rows_of(tmp_path / "full" / "water_segments.csv")
+    }
+    water, _ = read_ascii_grid(tmp_path / "full" / "water_mask.asc")
+    # water segments are numbered in row-major first-encounter order
+    labels, n = ndimage.label(water != 0, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    assert n == len(full_rows)
+    window = np.bincount(labels[20:80, 20:100].ravel(), minlength=n + 1)
+    expected = []
+    for seg_id in np.flatnonzero(window[1:]) + 1:
+        _, count, elevation = full_rows[str(seg_id)].split(",")
+        assert int(count) > window[seg_id]  # the window cuts the segment
+        expected.append(f"{seg_id},{window[seg_id]},{elevation}")
+    assert expected and len(expected) < n
+    assert rows_of(tmp_path / "crop" / "water_segments.csv") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dtm", "{pts}", "--cell", "nan"],
+        ["dtm", "{pts}", "--cell", "inf"],
+        ["slope", "{pts}", "--cell", "nan"],
+        ["dtm", "{pts}", "--confidence", "nan"],
+        ["dtm", "{pts}", "--confidence", "inf"],
+        ["water", "{pts}", "--confidence", "nan"],
+        ["dtm", "{pts}", "--crop", "nan", "0", "10", "10"],
+        ["dtm", "{pts}", "--crop", "0", "0", "inf", "10"],
+        ["synth", "{scene}", "--density", "nan"],
+        ["synth", "{scene}", "--density", "inf"],
+        ["synth", "{scene}", "--seed", "-1"],
+    ],
+)
+def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
+    pts = tmp_path / "p.xyz"
+    pts.write_text("0 0 1\n10 0 1\n0 10 1\n10 10 1\n")
+    scene = tmp_path / "scene.txt"
+    write_scene_file(scene)
+    argv = [a.format(pts=pts, scene=scene) for a in argv]
+    assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.startswith("parameter error: ")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breakline_dtm.errors import AllVoidError, NonPositiveCellError
-from breakline_dtm.ingest import BBox, PointCloud
+from breakline_dtm.ingest import BBox, PointCloud, bounds
 from breakline_dtm.raster import (
     GridSpec,
     SparseDsm,
@@ -56,6 +56,21 @@ def test_rasterize_max_edge_points_clamped():
     sp = rasterize_min(pc, grid)
     assert sp.occupancy[3, 3] == 1
     assert sp.oob_dropped == 0
+
+
+def test_rasterize_points_in_grid_sliver_kept():
+    # the grid of this cloud ends 1e-9 cell short of its bbox in x and y;
+    # the points in that sliver belong to the last column and row
+    pc = PointCloud(
+        np.array([[0.0, 0.0, 5.0], [10.0000000001, 3.0, 1.0], [4.0, 6.0000000001, 2.0]])
+    )
+    grid = make_grid_spec(bounds(pc), 0.5)
+    assert (grid.max_x, grid.max_y) == (10.0, 6.0)
+    sp = rasterize_min(pc, grid)
+    assert sp.oob_dropped == 0
+    assert sp.elev[6, 19] == 1.0
+    assert sp.elev[11, 8] == 2.0
+    assert sp.occupancy.sum() == 3
 
 
 def test_rasterize_out_of_bounds_dropped_and_counted():
