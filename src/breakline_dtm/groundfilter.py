@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ParameterError
 from .raster import GridSpec
@@ -70,6 +68,8 @@ class GroundMask:
 
 def label_4connected(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected components of ``mask``, labeled in row-major first-encounter order."""
+    from scipy import ndimage
+
     lab, n = ndimage.label(mask, structure=_FOUR)
     if n == 0:
         return lab.astype(np.int32), 0
@@ -96,6 +96,8 @@ def min_area_rect(points: np.ndarray) -> float:
     side collinear with a hull edge, so checking every edge direction is
     exhaustive.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     points = np.asarray(points, dtype=np.float64)
     try:
         hull = points[ConvexHull(points).vertices]  # counter-clockwise in 2-D

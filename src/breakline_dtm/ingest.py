@@ -29,8 +29,8 @@ _NOT_BULK = (b"#", b",", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # cells per block that format_rows_6f converts to Python floats at once
 _FORMAT_CHUNK_CELLS = 1 << 16
 
-# minimal public header sizes per LAS minor version
-_LAS_MIN_HEADER = 227
+# public header size of each LAS 1.x minor version
+_LAS_HEADER_SIZE = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,20 @@ def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
 
 
 def _read_las(data: bytes, strict: bool) -> PointCloud:
-    """Decode the common 12-byte XYZ prefix of LAS 1.2-1.4 point records."""
-    if len(data) < _LAS_MIN_HEADER:
+    """Decode the common 12-byte XYZ prefix of LAS 1.0-1.4 point records."""
+    if len(data) < min(_LAS_HEADER_SIZE.values()):
         raise UnsupportedFormatError("LAS input shorter than the public header")
 
     ver_major, ver_minor = data[24], data[25]
-    if ver_major != 1 or not 0 <= ver_minor <= 4:
+    if ver_major != 1 or ver_minor not in _LAS_HEADER_SIZE:
         raise UnsupportedFormatError(f"unsupported LAS version {ver_major}.{ver_minor}")
 
     (header_size,) = struct.unpack_from("<H", data, 94)
+    if header_size < _LAS_HEADER_SIZE[ver_minor]:
+        raise UnsupportedFormatError(
+            f"LAS 1.{ver_minor} header_size {header_size} is smaller than "
+            f"the {_LAS_HEADER_SIZE[ver_minor]}-byte public header of that version"
+        )
     (point_offset,) = struct.unpack_from("<I", data, 96)
     fmt_id = data[104]
     (rec_len,) = struct.unpack_from("<H", data, 105)
@@ -191,7 +196,7 @@ def _read_las(data: bytes, strict: bool) -> PointCloud:
             raise UnsupportedFormatError(f"LAS {axis} scale factor is {scale}")
 
     count = legacy_count
-    if ver_minor >= 4 and header_size >= 375:
+    if ver_minor == 4:
         (count64,) = struct.unpack_from("<Q", data, 247)
         if count64:
             count = count64

@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.interpolate import LinearNDInterpolator
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import InsufficientGroundError
 from .groundfilter import _FOUR, GroundMask, label_4connected
@@ -75,8 +72,31 @@ def _fill_hole_1d(
     return np.interp(t_h, uniq, z_sorted[idx])
 
 
+def _fill_hole_linear(tri, donor_z: np.ndarray, hole_xy: np.ndarray) -> np.ndarray:
+    """Barycentric fill on the Delaunay triangulation ``tri``; NaN outside its hull.
+
+    The operations and their order are those of scipy's
+    ``LinearNDInterpolator``, so the values are the same bit for bit; its
+    sums start from 0.0, which turns a leading -0.0 product into 0.0.
+    """
+    s = tri.find_simplex(hole_xy)
+    t = tri.transform[s]
+    dx = hole_xy[:, 0] - t[:, 2, 0]
+    dy = hole_xy[:, 1] - t[:, 2, 1]
+    c0 = (0.0 + t[:, 0, 0] * dx) + t[:, 0, 1] * dy
+    c1 = (0.0 + t[:, 1, 0] * dx) + t[:, 1, 1] * dy
+    c2 = (1.0 - c0) - c1
+    v = donor_z[tri.simplices[s]]
+    values = ((0.0 + c0 * v[:, 0]) + c1 * v[:, 1]) + c2 * v[:, 2]
+    values[s < 0] = np.nan
+    return values
+
+
 def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
     """Copy ground pixels and fill non-ground holes from their ground rims."""
+    from scipy import ndimage
+    from scipy.spatial import Delaunay, QhullError
+
     if dsm.grid != ground.grid:
         raise ValueError("DSM and ground mask grids differ")
     is_ground = ground.is_ground
@@ -115,8 +135,7 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         values = None
         if len(rim_rc) >= 3 and not _is_collinear(rim_rc.astype(np.int64)):
             try:
-                tri = Delaunay(donor_xy)
-                values = LinearNDInterpolator(tri, donor_z)(hole_xy)
+                values = _fill_hole_linear(Delaunay(donor_xy), donor_z, hole_xy)
             except QhullError:
                 values = None
         if values is None:

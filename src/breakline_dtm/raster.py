@@ -12,10 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import AllVoidError, NonPositiveCellError
+from .errors import AllVoidError, NonPositiveCellError, ParameterError
 from .ingest import BBox, PointCloud
+
+# Region and hole labels are int32 (label_4connected), which bounds the cell count.
+MAX_GRID_CELLS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,24 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
 
     Column/row counts are ceilings of extent / cell (at least 1); a small
     relative tolerance keeps exact multiples from spilling into an extra
-    row or column through float noise.
+    row or column through float noise.  A grid of more than
+    ``MAX_GRID_CELLS`` cells is a ParameterError, raised before anything
+    is allocated.
     """
     if not 0 < cell < math.inf:
         raise NonPositiveCellError(f"cell size must be finite and > 0, got {cell}")
-    ncols = max(1, math.ceil(bbox.width / cell - 1e-9))
-    nrows = max(1, math.ceil(bbox.height / cell - 1e-9))
-    return GridSpec(bbox.min_x, bbox.min_y, cell, ncols, nrows)
+    cols = bbox.width / cell - 1e-9
+    rows = bbox.height / cell - 1e-9
+    if math.isfinite(cols) and math.isfinite(rows):
+        ncols = max(1, math.ceil(cols))
+        nrows = max(1, math.ceil(rows))
+        if ncols * nrows <= MAX_GRID_CELLS:
+            return GridSpec(bbox.min_x, bbox.min_y, cell, ncols, nrows)
+    raise ParameterError(
+        f"cell size {cell} m over bbox x {bbox.min_x}..{bbox.max_x}, "
+        f"y {bbox.min_y}..{bbox.max_y} gives about {max(cols, 1.0) * max(rows, 1.0):.4g} "
+        f"cells, more than the {MAX_GRID_CELLS} a grid may have"
+    )
 
 
 def _bin_min_count(
@@ -165,6 +178,8 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
     (independent of library internals and threading).  Only the targets
     are resolved; the exact EDT over the whole mask gives their distances.
     """
+    from scipy import ndimage
+
     donor_mask = np.asarray(donor_mask, dtype=bool)
     if not donor_mask.any():
         raise AllVoidError("no donor cells available")

@@ -10,6 +10,7 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy.interpolate import LinearNDInterpolator
 
 
 def bfs_label_4connected(mask):
@@ -57,6 +58,11 @@ def brute_nearest_fill(elev, occupied):
     out = elev.copy()
     out.flat[voids] = elev.flat[brute_nearest_donor(occupied, voids)]
     return out
+
+
+def scipy_linear_fill(tri, values, xy):
+    """scipy's piecewise-linear interpolant on the triangulation ``tri``: NaN outside the hull."""
+    return LinearNDInterpolator(tri, values)(xy)
 
 
 def brute_window_sums(arr, window):

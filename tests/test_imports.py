@@ -1,0 +1,82 @@
+"""Which scipy modules a command loads, checked in fresh interpreters.
+
+Importing the package loads numpy only; scipy is imported inside the
+functions that call it, so `compare` and `synth` never load it and `dtm`
+loads `scipy.ndimage` and `scipy.spatial` but not `scipy.interpolate`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import breakline_dtm
+from breakline_dtm.asciigrid import write_ascii_grid
+from breakline_dtm.raster import GridSpec
+
+SRC = str(Path(breakline_dtm.__file__).resolve().parents[1])
+
+# runs argv (if any) through the CLI, then prints the exit code and the
+# scipy modules loaded
+PROBE = """
+import json, sys
+import breakline_dtm.cli
+rc = breakline_dtm.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def probe(*argv) -> dict:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_cli_loads_no_scipy():
+    assert probe() == {"rc": None, "scipy": []}
+
+
+def test_compare_with_mask_loads_no_scipy(tmp_path):
+    grid = GridSpec(0, 0, 1, 6, 5)
+    rng = np.random.default_rng(3)
+    for name in ("a", "b"):
+        write_ascii_grid(rng.normal(size=grid.shape), grid, tmp_path / f"{name}.asc")
+    mask = np.zeros(grid.shape)
+    mask[1:3, 2:4] = 1
+    write_ascii_grid(mask, grid, tmp_path / "mask.asc")
+    res = probe(
+        "compare", tmp_path / "a.asc", tmp_path / "b.asc",
+        "--mask", tmp_path / "mask.asc", "--tile-px", 3, "--out", tmp_path / "tiles.csv",
+    )
+    assert res == {"rc": 0, "scipy": []}
+
+
+def test_synth_loads_no_scipy(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(
+        "extent min_x=0 min_y=0 max_x=40 max_y=40\n"
+        "density value=2\n"
+        "plane base=50\n"
+        "building x=10 y=10 width=8 depth=8 height=6\n"
+    )
+    assert probe("synth", scene, "--out-dir", tmp_path / "s") == {"rc": 0, "scipy": []}
+
+
+def test_dtm_loads_no_scipy_interpolate_and_times_the_scipy_import(tmp_path):
+    gx, gy = np.meshgrid(np.arange(0.25, 40, 0.5), np.arange(0.25, 40, 0.5))
+    z = 50 + 0.01 * gx + 8.0 * ((abs(gx - 20) < 5) & (abs(gy - 20) < 5))
+    pts = tmp_path / "p.xyz"
+    np.savetxt(pts, np.column_stack([gx.ravel(), gy.ravel(), z.ravel()]), fmt="%.3f")
+    res = probe("dtm", pts, "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
+    assert res["rc"] == 0
+    assert {"scipy.ndimage", "scipy.spatial"} <= set(res["scipy"])
+    assert not [m for m in res["scipy"] if m.startswith("scipy.interpolate")]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["timings_s"]["scipy_import"] > 0

@@ -28,7 +28,7 @@ def make_las(points, scale=(0.01, 0.01, 0.01), offset=(0.0, 0.0, 0.0),
              version=(1, 2), fmt=0, declared_count=None, extra_record_bytes=8):
     """Hand-assembled LAS file, point records as raw int32 XYZ plus padding."""
     rec_len = 12 + extra_record_bytes
-    header_size = {2: 227, 3: 235, 4: 375}[version[1]]
+    header_size = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}[version[1]]
     header = bytearray(header_size)
     header[0:4] = b"LASF"
     header[24] = version[0]
@@ -111,6 +111,18 @@ def test_las_14_point_format_6():
     data = make_las([(1, 2, 3)], version=(1, 4), fmt=6, extra_record_bytes=18)
     pc = read_points(data)
     assert pc.xyz[0] == pytest.approx([0.01, 0.02, 0.03])
+
+
+@pytest.mark.parametrize("minor, public", [(0, 227), (1, 227), (2, 227), (3, 235), (4, 375)])
+def test_las_header_size_below_public_header_rejected(minor, public):
+    data = make_las([(1, 2, 3)], version=(1, minor))
+    assert read_points(data).count == 1
+    short = bytearray(data)
+    struct.pack_into("<H", short, 94, public - 1)
+    with pytest.raises(
+        UnsupportedFormatError, match=f"LAS 1.{minor} header_size {public - 1} .* {public}-byte"
+    ):
+        read_points(bytes(short))
 
 
 def test_las_truncated_body_lenient_vs_strict():

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay, QhullError
 
 from breakline_dtm.errors import InsufficientGroundError
 from breakline_dtm.groundfilter import GroundMask
 from breakline_dtm.interp import (
     SOURCE_INTERPOLATED,
     SOURCE_MEASURED,
+    _fill_hole_linear,
     interpolate_nonground,
 )
 from breakline_dtm.raster import Dsm, GridSpec
+from oracles import scipy_linear_fill
 
 
 def plane(grid, base=0.0, a=0.0, b=0.0):
@@ -140,3 +143,75 @@ def test_affine_reproduction_random_interior_masks(seed, a, b, base):
     ground[:, [0, -1]] = True
     dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
     assert np.abs(dtm.elev - z).max() < 1e-6
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _half_cell_queries(xy):
+    """Every half-cell point of a box one cell wider than ``xy``: vertices,
+    edge midpoints, triangle interiors and points outside the hull."""
+    lo = np.floor(xy.min(axis=0)) - 1
+    hi = np.ceil(xy.max(axis=0)) + 1
+    gx, gy = np.meshgrid(np.arange(lo[0], hi[0] + 0.25, 0.5), np.arange(lo[1], hi[1] + 0.25, 0.5))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def test_linear_fill_matches_scipy_on_a_concave_rim():
+    # an L-shaped rim; the query box reaches past its hull, so NaN cells occur
+    xy = np.array([(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)], dtype=float) + 0.5
+    z = np.array([1.0, 2.0, -3.0, 0.25, 7.0, -0.5])
+    q = _half_cell_queries(xy)
+    tri = Delaunay(xy)
+    got = _fill_hole_linear(tri, z, q)
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert _same_bits(got, scipy_linear_fill(tri, z, q))
+
+
+@st.composite
+def _donor_sets(draw):
+    """Rim-like donor points on the cell-centre lattice, with values.
+
+    Three kinds: arbitrary lattice points (duplicates allowed); a box whose
+    corners make it the hull, with points and duplicates on its sides, so
+    queries fall on hull edges; a line of points with one lifted off it
+    by as little as 1e-12 cell, a near-collinear rim.
+    """
+    side = draw(st.integers(2, 12))
+    coord = st.integers(0, side)
+    kind = draw(st.sampled_from(["lattice", "hull_edges", "near_collinear"]))
+    if kind == "near_collinear":
+        n = draw(st.integers(2, 12))
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)]))
+        lift = draw(st.sampled_from([1.0, 1e-3, 1e-7, 1e-12]))
+        k = draw(st.integers(0, n))
+        pts = [(i * dx, i * dy) for i in range(n + 1)]
+        pts.append((k * dx - dy * lift, k * dy + dx * lift))
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=30))
+        if kind == "hull_edges":
+            on_side = draw(st.lists(st.tuples(st.sampled_from([0, side]), coord), max_size=8))
+            corners = [(0, 0), (0, side), (side, 0), (side, side)]
+            pts = corners + pts + on_side + [(y, x) for x, y in on_side] + on_side
+    xy = np.asarray(pts, dtype=np.float64) + 0.5
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    # signed zeros often, so that every product of a sum can be -0.0
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-100, 100, allow_nan=False, allow_subnormal=False),
+    )
+    z = draw(st.lists(value, min_size=len(xy), max_size=len(xy)))
+    return xy, np.asarray(z) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_donor_sets())
+def test_linear_fill_matches_scipy_interpolator_bit_for_bit(case):
+    xy, z = case
+    try:
+        tri = Delaunay(xy)
+    except QhullError:
+        assume(False)  # interpolate_nonground falls back to the 1-D fill here
+    q = _half_cell_queries(xy)
+    assert _same_bits(_fill_hole_linear(tri, z, q), scipy_linear_fill(tri, z, q))

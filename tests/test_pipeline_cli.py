@@ -71,6 +71,10 @@ def test_pipeline_report_echoes_defaults(scene_result):
     }
 
 
+def test_pipeline_loads_scipy_in_its_first_stage(scene_result):
+    assert next(iter(scene_result.report["timings_s"])) == "scipy_import"
+
+
 def test_pipeline_empty_input_flagged_with_stage():
     with pytest.raises(EmptyInputError) as err:
         run_pipeline(b"", PipelineConfig())
@@ -226,6 +230,17 @@ def write_scene_file(path):
         "plane base=50\n"
         "building x=30 y=30 width=20 depth=20 height=8\n"
     )
+
+
+@pytest.mark.parametrize("cell", ["1e-4", "1e-300"])
+def test_cli_dtm_grid_too_large_exits_3(tmp_path, capsys, cell):
+    pts = tmp_path / "p.xyz"
+    pts.write_text("0 0 1\n10 0 1\n0 10 1\n10 10 2\n")
+    assert run_cli(["dtm", pts, "--cell", cell, "--out-dir", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: cell size")
+    assert "bbox x 0.0..10.0, y 0.0..10.0" in err
+    assert "more than the 2147483647 a grid may have" in err
 
 
 def test_cli_synth_then_dtm_round_trip(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breakline_dtm.errors import AllVoidError, NonPositiveCellError
+from breakline_dtm.errors import AllVoidError, NonPositiveCellError, ParameterError
 from breakline_dtm.ingest import BBox, PointCloud, bounds
 from breakline_dtm.raster import (
+    MAX_GRID_CELLS,
     GridSpec,
     SparseDsm,
     fill_voids_nearest,
@@ -31,6 +32,29 @@ def test_make_grid_spec_degenerate_bbox():
 def test_make_grid_spec_bad_cell():
     with pytest.raises(NonPositiveCellError):
         make_grid_spec(BBox(0, 0, 1, 1), 0.0)
+
+
+def test_make_grid_spec_cell_count_at_the_limit():
+    # make_grid_spec allocates nothing, so a grid at the limit is cheap to build
+    g = make_grid_spec(BBox(0, 0, MAX_GRID_CELLS, 0), 1.0)
+    assert (g.ncols, g.nrows) == (MAX_GRID_CELLS, 1)
+    with pytest.raises(ParameterError, match=f"more than the {MAX_GRID_CELLS}"):
+        make_grid_spec(BBox(0, 0, MAX_GRID_CELLS + 1, 0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "cell, count",
+    [(1e-4, "1e+10"), (1e-300, "inf"), (5e-324, "inf")],
+)
+def test_make_grid_spec_too_many_cells_names_bbox_cell_and_count(cell, count):
+    # 1e-300 overflows no float but its cell count no int32 holds;
+    # 5e-324 makes the column count itself infinite
+    with pytest.raises(ParameterError) as err:
+        make_grid_spec(BBox(0, 0, 10, 10), cell)
+    msg = str(err.value)
+    assert f"cell size {cell} m" in msg
+    assert "bbox x 0..10, y 0..10" in msg
+    assert f"about {count} cells" in msg
 
 
 def test_grid_covers_bbox():
