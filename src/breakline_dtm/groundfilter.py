@@ -67,21 +67,14 @@ class GroundMask:
 
 
 def label_4connected(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected components of ``mask``, labeled in row-major first-encounter order."""
+    """4-connected components of ``mask``, labeled in row-major first-encounter order.
+
+    scipy's raster scan gives that order itself: its union-find keeps the
+    smaller provisional label, the one made at a component's first pixel.
+    """
     from scipy import ndimage
 
-    lab, n = ndimage.label(mask, structure=_FOUR)
-    if n == 0:
-        return lab.astype(np.int32), 0
-    flat = lab.ravel()
-    nz = np.flatnonzero(flat)
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    # reversed scan leaves each label's earliest (row-major) position behind
-    first[flat[nz[::-1]]] = nz[::-1]
-    order = np.argsort(first[1:], kind="stable")
-    lut = np.zeros(n + 1, dtype=np.int32)
-    lut[order + 1] = np.arange(1, n + 1, dtype=np.int32)
-    return lut[lab], n
+    return ndimage.label(mask, structure=_FOUR, output=np.int32)
 
 
 def label_regions(mask: BreakMask) -> Segmentation:

@@ -36,28 +36,17 @@ class DtmRaster:
 
 
 def _is_collinear(pts: np.ndarray) -> bool:
-    """Exact collinearity test for integer-scaled points."""
-    if len(pts) < 3:
-        return True
-    ref = pts[0]
-    deltas = pts[1:] - ref
-    base = None
-    for d in deltas:
-        if d[0] != 0 or d[1] != 0:
-            base = d
-            break
-    if base is None:
-        return True
-    cross = deltas[:, 0] * base[1] - deltas[:, 1] * base[0]
-    return bool(np.all(cross == 0))
+    """Exact collinearity test for integer points; fewer than 3 are collinear."""
+    deltas = pts - pts[0]
+    # the first offset that is not zero, or zero when all points coincide
+    base = deltas[np.argmax(deltas.any(axis=1))]
+    return bool(np.all(deltas[:, 0] * base[1] == deltas[:, 1] * base[0]))
 
 
 def _fill_hole_1d(
     donor_xy: np.ndarray, donor_z: np.ndarray, hole_xy: np.ndarray
 ) -> np.ndarray:
     """Degenerate (collinear) boundary: linear interpolation along the principal axis."""
-    if len(donor_xy) == 1:
-        return np.full(len(hole_xy), donor_z[0])
     centered = donor_xy - donor_xy.mean(axis=0)
     # principal direction of the boundary points; SVD is deterministic here
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -109,8 +98,6 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
     elev = dsm.elev.copy()
     source = np.full(dsm.grid.shape, SOURCE_MEASURED, dtype=np.uint8)
     masked = ~is_ground
-    if not masked.any():
-        return DtmRaster(dsm.grid, elev, source)
     source[masked] = SOURCE_INTERPOLATED
 
     holes, n_holes = label_4connected(masked)
@@ -132,15 +119,12 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         donor_z = dsm.elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
         hole_xy = hole_rc[:, ::-1] + 0.5
 
-        values = None
-        if len(rim_rc) >= 3 and not _is_collinear(rim_rc.astype(np.int64)):
-            try:
-                values = _fill_hole_linear(Delaunay(donor_xy), donor_z, hole_xy)
-            except QhullError:
-                values = None
-        if values is None:
+        try:
+            tri = Delaunay(donor_xy)
+        except QhullError:  # fewer than 3 rim points, or all on one line
             values = _fill_hole_1d(donor_xy, donor_z, hole_xy)
         else:
+            values = _fill_hole_linear(tri, donor_z, hole_xy)
             outside = ~np.isfinite(values)
             if outside.any():
                 flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]

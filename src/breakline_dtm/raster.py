@@ -138,27 +138,17 @@ def _bin_min_count(
 def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
     """Bin points into the grid keeping the lowest elevation per cell.
 
-    ``workers`` > 1 partitions the points across threads; the min/count
-    merge is commutative and exact, so the result is independent of the
-    partitioning and of thread scheduling.
+    The points are split into ``workers`` chunks: the caller's thread bins
+    the first, a thread pool the rest.  The min/count merge is commutative
+    and exact, so the result is independent of the partitioning and of
+    thread scheduling.
     """
-    nrows, ncols = grid.shape
-    workers = max(1, int(workers))
-    if pc.count == 0:
-        elev = np.full(grid.shape, np.nan)
-        occ = np.zeros(grid.shape, dtype=np.int64)
-        return SparseDsm(grid, elev, occ, 0)
-
-    if workers == 1 or pc.count < 4 * workers:
-        elev, occ, dropped = _bin_min_count(pc.xyz, grid)
-    else:
-        chunks = np.array_split(pc.xyz, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _bin_min_count(c, grid), chunks))
-        elev = np.full(nrows * ncols, np.inf)
-        occ = np.zeros(nrows * ncols, dtype=np.int64)
-        dropped = 0
-        for e, o, d in parts:
+    first, *rest = np.array_split(pc.xyz, max(1, int(workers)))
+    with ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
+        futures = [pool.submit(_bin_min_count, chunk, grid) for chunk in rest]
+        elev, occ, dropped = _bin_min_count(first, grid)
+        for future in futures:
+            e, o, d = future.result()
             np.minimum(elev, e, out=elev)
             occ += o
             dropped += d

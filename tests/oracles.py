@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
+from scipy.spatial import Delaunay, QhullError
 
 
 def bfs_label_4connected(mask):
@@ -60,9 +61,106 @@ def brute_nearest_fill(elev, occupied):
     return out
 
 
+def bucket_min_count(xyz, grid):
+    """Per-cell lowest z and point count, one point at a time, keyed by (row, col).
+
+    Points on the grid's max edge go to the last row or column; points
+    outside the grid are skipped.
+    """
+    mins = {}
+    counts = {}
+    for x, y, z in xyz:
+        if not (grid.origin_x <= x <= grid.max_x and grid.origin_y <= y <= grid.max_y):
+            continue
+        c = min(int((x - grid.origin_x) / grid.cell), grid.ncols - 1)
+        r = min(int((y - grid.origin_y) / grid.cell), grid.nrows - 1)
+        mins[(r, c)] = min(mins.get((r, c), np.inf), z)
+        counts[(r, c)] = counts.get((r, c), 0) + 1
+    return mins, counts
+
+
 def scipy_linear_fill(tri, values, xy):
     """scipy's piecewise-linear interpolant on the triangulation ``tri``: NaN outside the hull."""
     return LinearNDInterpolator(tri, values)(xy)
+
+
+def _loop_is_collinear(pts):
+    """Collinearity of integer points by scanning for the first nonzero offset."""
+    if len(pts) < 3:
+        return True
+    deltas = pts[1:] - pts[0]
+    base = None
+    for d in deltas:
+        if d[0] != 0 or d[1] != 0:
+            base = d
+            break
+    if base is None:
+        return True
+    return bool(np.all(deltas[:, 0] * base[1] - deltas[:, 1] * base[0] == 0))
+
+
+def _principal_axis_fill(donor_xy, donor_z, hole_xy):
+    """1-D fill along the donors' principal axis, with a single donor spelled out."""
+    if len(donor_xy) == 1:
+        return np.full(len(hole_xy), donor_z[0])
+    _, _, vt = np.linalg.svd(donor_xy - donor_xy.mean(axis=0), full_matrices=False)
+    t_d = donor_xy @ vt[0]
+    order = np.argsort(t_d, kind="stable")
+    uniq, idx = np.unique(t_d[order], return_index=True)
+    return np.interp(hole_xy @ vt[0], uniq, donor_z[order][idx])
+
+
+def per_hole_fill(elev, is_ground):
+    """Non-ground fill one 4-connected hole at a time, rims checked before Qhull.
+
+    A hole's rim is the ground pixels 4-adjacent to it.  Coordinates are
+    cell centres local to the hole's bounding box grown by one pixel.  A
+    rim of fewer than 3 pixels, or a collinear one, takes the 1-D fill
+    along its principal axis without a triangulation; any other rim is
+    triangulated (the 1-D fill again if Qhull refuses), filled by scipy's
+    linear interpolant, and pixels outside its hull take the nearest rim
+    pixel.  Returns None when the ground is fewer than 3 pixels or
+    collinear.
+    """
+    nrows, ncols = is_ground.shape
+    if _loop_is_collinear(np.argwhere(is_ground)):
+        return None
+    out = elev.copy()
+    holes, n_holes = bfs_label_4connected(~is_ground)
+    for hole_id in range(1, n_holes + 1):
+        rr, cc = np.nonzero(holes == hole_id)
+        rs = slice(max(0, rr.min() - 1), min(nrows, rr.max() + 2))
+        cs = slice(max(0, cc.min() - 1), min(ncols, cc.max() + 2))
+        hole = holes[rs, cs] == hole_id
+        ground = is_ground[rs, cs]
+        rim = np.zeros_like(hole)
+        for r, c in np.argwhere(hole):
+            for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= nr < hole.shape[0] and 0 <= nc < hole.shape[1] and ground[nr, nc]:
+                    rim[nr, nc] = True
+
+        hole_rc = np.argwhere(hole)
+        rim_rc = np.argwhere(rim)
+        rim_rc = rim_rc[np.lexsort((rim_rc[:, 0], rim_rc[:, 1]))]
+        donor_xy = rim_rc[:, ::-1] + 0.5
+        donor_z = elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
+        hole_xy = hole_rc[:, ::-1] + 0.5
+
+        values = None
+        if len(rim_rc) >= 3 and not _loop_is_collinear(rim_rc):
+            try:
+                values = scipy_linear_fill(Delaunay(donor_xy), donor_z, hole_xy)
+            except QhullError:
+                values = None
+        if values is None:
+            values = _principal_axis_fill(donor_xy, donor_z, hole_xy)
+        else:
+            outside = np.isnan(values)
+            if outside.any():
+                flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]
+                values[outside] = elev[rs, cs].flat[brute_nearest_donor(rim, flat)]
+        out[rs, cs][hole_rc[:, 0], hole_rc[:, 1]] = values
+    return out
 
 
 def brute_window_sums(arr, window):

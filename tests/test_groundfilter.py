@@ -78,19 +78,30 @@ def test_labels_are_first_encounter_row_major():
     assert seg.label[1, 6] == 2
     assert seg.label[1, 10] == 3
 
+    # a U whose arms start on row 1 but join only at its bottom row, with a
+    # second region starting between the arms: the U is still region 1
+    m = bordered(8, 9)
+    m[1:6, 2] = m[1:6, 6] = m[5, 2:7] = True
+    seg = label_regions(break_mask(m))
+    assert seg.region_count == 2
+    assert seg.label[1, 1] == seg.label[1, 7] == seg.label[6, 4] == 1
+    assert (seg.label[1:5, 3:6] == 2).all()
+
 
 @settings(max_examples=60, deadline=None)
 @given(
-    nrows=st.integers(1, 24),
-    ncols=st.integers(1, 24),
+    nrows=st.integers(1, 48),
+    ncols=st.integers(1, 48),
+    density=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_labeling_matches_bfs_oracle(nrows, ncols, seed):
+def test_labeling_matches_bfs_oracle(nrows, ncols, density, seed):
     rng = np.random.default_rng(seed)
-    is_break = rng.uniform(size=(nrows, ncols)) < 0.4
+    is_break = rng.uniform(size=(nrows, ncols)) < density
     lab, n = label_4connected(~is_break)
     oracle_lab, oracle_n = bfs_label_4connected(~is_break)
     assert n == oracle_n
+    assert lab.dtype == np.int32
     # both label in row-major first-encounter order, so equality is exact
     assert np.array_equal(lab, oracle_lab)
 

@@ -13,7 +13,7 @@ from breakline_dtm.interp import (
     interpolate_nonground,
 )
 from breakline_dtm.raster import Dsm, GridSpec
-from oracles import scipy_linear_fill
+from oracles import per_hole_fill, scipy_linear_fill
 
 
 def plane(grid, base=0.0, a=0.0, b=0.0):
@@ -215,3 +215,60 @@ def test_linear_fill_matches_scipy_interpolator_bit_for_bit(case):
         assume(False)  # interpolate_nonground falls back to the 1-D fill here
     q = _half_cell_queries(xy)
     assert _same_bits(_fill_hole_linear(tri, z, q), scipy_linear_fill(tri, z, q))
+
+
+@st.composite
+def _ground_masks(draw):
+    """Ground masks whose holes have the rims the fill must handle.
+
+    ``random`` scatters non-ground pixels (density 0 gives an all-ground
+    mask); ``ring`` makes the raster border non-ground, merged with random
+    interior breaks as the stamped break-line ring is; ``corner`` cuts a
+    staircase triangle whose rim is one diagonal (2 pixels for the corner
+    pixel alone); ``strip`` cuts full-width rows or full-height columns,
+    whose rim is one row or one column.  Sparse random holes may be added
+    on top.  Masks with fewer than 3 or only collinear ground pixels occur
+    too, among them rims of a single pixel.
+    """
+    nrows = draw(st.one_of(st.just(3), st.integers(2, 14)))
+    ncols = draw(st.one_of(st.just(3), st.integers(2, 14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "ring", "corner", "strip"]))
+    ground = np.ones((nrows, ncols), bool)
+    if kind == "random":
+        ground = rng.uniform(size=ground.shape) >= draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    elif kind == "ring":
+        ground[[0, -1], :] = ground[:, [0, -1]] = False
+        ground &= rng.uniform(size=ground.shape) >= draw(st.floats(0.0, 0.4))
+    elif kind == "corner":
+        r, c = np.indices(ground.shape)
+        k = draw(st.integers(1, min(nrows, ncols)))
+        ground = r + c >= k
+        ground = ground[:: draw(st.sampled_from([1, -1])), :: draw(st.sampled_from([1, -1]))]
+    else:
+        k = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            ground[:k] = False
+        else:
+            ground[:, -k:] = False
+    extra = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15]))
+    ground &= rng.uniform(size=ground.shape) >= extra
+    z = rng.normal(0.0, 10.0, ground.shape)
+    if draw(st.booleans()):
+        z = np.round(z)  # ties, integers and signed zeros among the donors
+    return ground, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ground_masks())
+def test_interpolation_matches_per_hole_oracle_bit_for_bit(case):
+    ground, z = case
+    grid = GridSpec(0, 0, 1, ground.shape[1], ground.shape[0])
+    expected = per_hole_fill(z, ground)
+    if expected is None:
+        with pytest.raises(InsufficientGroundError):
+            interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
+        return
+    dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
+    assert _same_bits(dtm.elev, expected)
+    assert np.array_equal(dtm.source, np.where(ground, SOURCE_MEASURED, SOURCE_INTERPOLATED))

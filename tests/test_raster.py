@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breakline_dtm.errors import AllVoidError, NonPositiveCellError, ParameterError
@@ -14,7 +14,7 @@ from breakline_dtm.raster import (
     nearest_donor_indices,
     rasterize_min,
 )
-from oracles import brute_nearest_donor, brute_nearest_fill
+from oracles import brute_nearest_donor, brute_nearest_fill, bucket_min_count
 
 
 def test_make_grid_spec_exact_and_ceil():
@@ -113,35 +113,46 @@ def test_rasterize_matches_bucketing_oracle():
     )
     grid = make_grid_spec(BBox(0, 0, 8, 6), 0.5)
     sp = rasterize_min(PointCloud(xyz), grid)
-
-    # hash-bucket oracle, one point at a time
-    mins = {}
-    counts = {}
-    for x, y, z in xyz:
-        c = min(int(x / 0.5), grid.ncols - 1)
-        r = min(int(y / 0.5), grid.nrows - 1)
-        mins[(r, c)] = min(mins.get((r, c), np.inf), z)
-        counts[(r, c)] = counts.get((r, c), 0) + 1
+    mins, counts = bucket_min_count(xyz, grid)
     for (r, c), v in mins.items():
         assert sp.elev[r, c] == v
         assert sp.occupancy[r, c] == counts[(r, c)]
     assert sp.occupancy.sum() == n
 
 
-def test_rasterize_order_invariant_and_worker_invariant():
-    rng = np.random.default_rng(7)
-    n = 5000
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    workers=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    margin=st.sampled_from([0.0, 1.0]),
+)
+@example(n=5000, workers=8, seed=7, margin=0.0)
+def test_rasterize_order_invariant_and_worker_invariant(n, workers, seed, margin):
+    rng = np.random.default_rng(seed)
+    # with a margin, some points fall outside the grid and every chunk drops its own
+    lo, hi = -margin, 10 + margin
     xyz = np.column_stack(
-        [rng.uniform(0, 10, n), rng.uniform(0, 10, n), rng.uniform(0, 10, n)]
+        [rng.uniform(lo, hi, n), rng.uniform(lo, hi, n), rng.uniform(0, 10, n)]
     )
     grid = make_grid_spec(BBox(0, 0, 10, 10), 0.5)
     base = rasterize_min(PointCloud(xyz), grid)
     shuffled = rasterize_min(PointCloud(xyz[rng.permutation(n)]), grid)
-    threaded = rasterize_min(PointCloud(xyz), grid, workers=8)
-    assert np.array_equal(base.elev, shuffled.elev, equal_nan=True)
-    assert np.array_equal(base.occupancy, shuffled.occupancy)
-    assert np.array_equal(base.elev, threaded.elev, equal_nan=True)
-    assert np.array_equal(base.occupancy, threaded.occupancy)
+    threaded = rasterize_min(PointCloud(xyz), grid, workers=workers)
+    for sp in (shuffled, threaded):
+        assert np.array_equal(base.elev, sp.elev, equal_nan=True)
+        assert np.array_equal(base.occupancy, sp.occupancy)
+        assert base.oob_dropped == sp.oob_dropped
+
+    mins, counts = bucket_min_count(xyz, grid)
+    elev = np.full(grid.shape, np.nan)
+    occupancy = np.zeros(grid.shape, dtype=np.int64)
+    for rc, v in mins.items():
+        elev[rc] = v
+        occupancy[rc] = counts[rc]
+    assert np.array_equal(threaded.elev, elev, equal_nan=True)
+    assert np.array_equal(threaded.occupancy, occupancy)
+    assert threaded.oob_dropped == n - occupancy.sum()
 
 
 def test_fill_single_occupied_cell_floods_grid():
