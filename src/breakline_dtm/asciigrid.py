@@ -45,7 +45,10 @@ def format_ascii_grid(values: np.ndarray, grid: GridSpec) -> str:
         f"cellsize {grid.cell:.6f}",
         "NODATA_value -9999",
     ]
-    flipped = np.flipud(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":  # bool and integer rasters keep their dtype
+        values = values.astype(np.float64, copy=False)
+    flipped = np.flipud(values)
     finite_rows = np.isfinite(flipped).all(axis=1).tolist()
     for line, finite in zip(format_rows_6f(flipped), finite_rows):
         lines.append(line if finite else _nodata_tokens(line))

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p_dtm)
     _add_water_flags(p_dtm)
     p_dtm.add_argument(
-        "--workers", type=int, default=1, help="threads for rasterization"
+        "--workers", type=int, default=1, help="threads for rasterization (>= 1)"
     )
     p_dtm.add_argument(
         "--crop",
@@ -166,16 +167,23 @@ def _cmd_dtm(args) -> int:
     res = run_pipeline(args.input, cfg)
 
     grid = res.dtm.grid
-    write_ascii_grid(res.dtm.elev, grid, out / "dtm.asc")
-    write_ascii_grid(res.ground.is_ground, grid, out / "ground_mask.asc")
-    write_ascii_grid(res.water.is_water, grid, out / "water_mask.asc")
+    writes_s: dict[str, float] = {}
+
+    def write(values, name: str) -> None:
+        start = time.perf_counter()
+        write_ascii_grid(values, grid, out / name)
+        writes_s[name] = round(time.perf_counter() - start, 6)
+
+    write(res.dtm.elev, "dtm.asc")
+    write(res.ground.is_ground, "ground_mask.asc")
+    write(res.water.is_water, "water_mask.asc")
     if args.emit_intermediates:
-        write_ascii_grid(res.dsm.elev, grid, out / "dsm.asc")
-        write_ascii_grid(res.sparse.occupancy, grid, out / "occupancy.asc")
-        write_ascii_grid(res.slope.slope_deg, grid, out / "slope.asc")
-        write_ascii_grid(res.breaks.is_break, grid, out / "break_mask.asc")
-        write_ascii_grid(res.segmentation.label, grid, out / "labels.asc")
-        write_ascii_grid(res.dtm.source, grid, out / "source.asc")
+        write(res.dsm.elev, "dsm.asc")
+        write(res.sparse.occupancy, "occupancy.asc")
+        write(res.slope.slope_deg, "slope.asc")
+        write(res.breaks.is_break, "break_mask.asc")
+        write(res.segmentation.label, "labels.asc")
+        write(res.dtm.source, "source.asc")
 
     with open(out / "regions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -183,7 +191,8 @@ def _cmd_dtm(args) -> int:
         for row in region_report_rows(res.stats, cfg.filter_params):
             writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", row[3]])
     _write_water_csv(out / "water_segments.csv", res.water)
-    _write_json(out / "report.json", res.report)
+    # written last, so the report can carry the time of every raster write
+    _write_json(out / "report.json", {**res.report, "writes_s": writes_s})
 
     print(f"DTM written to {out / 'dtm.asc'}")
     print(

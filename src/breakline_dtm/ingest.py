@@ -26,7 +26,7 @@ _FIELD_SEP = re.compile(r"[,\s]+")
 # syntax, and the ASCII controls that str.splitlines() ends a line at but
 # np.loadtxt reads as field whitespace.
 _NOT_BULK = (b"#", b",", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# cells per block that format_rows_6f converts to Python floats at once
+# cells per block that format_rows_6f converts to Python objects at once
 _FORMAT_CHUNK_CELLS = 1 << 16
 
 # public header size of each LAS 1.x minor version
@@ -268,14 +268,24 @@ def bounds(pc: PointCloud) -> BBox:
 
 
 def format_rows_6f(values: np.ndarray) -> Iterator[str]:
-    """Yield each row of a 2-D float array as its cells in ``%.6f``, space separated.
+    """Yield each row of a 2-D array as its cells in ``%.6f``, space separated.
 
-    Non-finite cells print as ``nan``, ``inf`` or ``-inf``.  Rows are
-    converted to Python floats a chunk at a time, to bound memory.
+    A float array's non-finite cells print as ``nan``, ``inf`` or ``-inf``.
+    A bool or integer array prints each cell as the token of its float64
+    value, looked up in a table of the distinct values, so the text is the
+    float path's.  Rows are converted a chunk at a time, to bound memory.
     """
     nrows, ncols = values.shape
-    row_fmt = " ".join(["%.6f"] * ncols)
     step = max(1, _FORMAT_CHUNK_CELLS // ncols)
+    if values.dtype.kind in "biu":
+        for start in range(0, nrows, step):
+            block = values[start : start + step]
+            uniq, inverse = np.unique(block.astype(np.float64), return_inverse=True)
+            table = ["%.6f" % v for v in uniq.tolist()]
+            for row in inverse.reshape(block.shape).tolist():
+                yield " ".join(map(table.__getitem__, row))
+        return
+    row_fmt = " ".join(["%.6f"] * ncols)
     for start in range(0, nrows, step):
         for row in values[start : start + step].tolist():
             yield row_fmt % tuple(row)

@@ -4,8 +4,11 @@ Each 4-connected hole of non-ground pixels is interpolated on its own
 from the ground pixels that touch it (4-adjacency).  Those boundary
 pixels are triangulated and the hole is filled barycentrically; hole
 pixels outside the triangulation hull take the elevation of the nearest
-boundary pixel.  Interpolated values therefore never leave the range of
-the boundary elevations used.
+boundary pixel.  A pixel outside the boundary's bounding box is outside
+its hull too, so a hole with no pixel inside that box (such as the
+stamped raster border ring) is never triangulated.  A collinear boundary
+is filled along its line instead.  Interpolated values therefore never
+leave the range of the boundary elevations used.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def _fill_hole_linear(tri, donor_z: np.ndarray, hole_xy: np.ndarray) -> np.ndarr
 def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
     """Copy ground pixels and fill non-ground holes from their ground rims."""
     from scipy import ndimage
-    from scipy.spatial import Delaunay, QhullError
+    from scipy.spatial import Delaunay
 
     if dsm.grid != ground.grid:
         raise ValueError("DSM and ground mask grids differ")
@@ -119,13 +122,18 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         donor_z = dsm.elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
         hole_xy = hole_rc[:, ::-1] + 0.5
 
-        try:
-            tri = Delaunay(donor_xy)
-        except QhullError:  # fewer than 3 rim points, or all on one line
+        if _is_collinear(rim_rc):  # fewer than 3 rim points, or all on one line
             values = _fill_hole_1d(donor_xy, donor_z, hole_xy)
         else:
-            values = _fill_hole_linear(tri, donor_z, hole_xy)
-            outside = ~np.isfinite(values)
+            # a pixel strictly outside the rim's bounding box is outside its
+            # hull, and find_simplex rejects it without moving its walk's
+            # start, so only pixels inside the box need the triangulation
+            lo, hi = rim_rc.min(axis=0), rim_rc.max(axis=0)
+            in_box = ((hole_rc >= lo) & (hole_rc <= hi)).all(axis=1)
+            values = np.full(len(hole_rc), np.nan)
+            if in_box.any():
+                values[in_box] = _fill_hole_linear(Delaunay(donor_xy), donor_z, hole_xy[in_box])
+            outside = np.isnan(values)
             if outside.any():
                 flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]
                 values[outside] = dsm.elev[rs, cs].flat[nearest_donor_indices(rim, flat)]

@@ -8,6 +8,7 @@ southernmost row, so cell (r, c) has its center at
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -139,12 +140,16 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     """Bin points into the grid keeping the lowest elevation per cell.
 
     The points are split into ``workers`` chunks: the caller's thread bins
-    the first, a thread pool the rest.  The min/count merge is commutative
-    and exact, so the result is independent of the partitioning and of
-    thread scheduling.
+    the first, a pool of at most ``os.cpu_count()`` threads the rest.  The
+    min/count merge is commutative and exact, so the result is independent
+    of the partitioning and of thread scheduling.  ``workers`` < 1 is a
+    ParameterError.
     """
-    first, *rest = np.array_split(pc.xyz, max(1, int(workers)))
-    with ThreadPoolExecutor(max_workers=max(1, len(rest))) as pool:
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    first, *rest = np.array_split(pc.xyz, workers)
+    threads = min(max(1, len(rest)), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_bin_min_count, chunk, grid) for chunk in rest]
         elev, occ, dropped = _bin_min_count(first, grid)
         for future in futures:

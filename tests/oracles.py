@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay
 
 
 def bfs_label_4connected(mask):
@@ -117,10 +117,9 @@ def per_hole_fill(elev, is_ground):
     cell centres local to the hole's bounding box grown by one pixel.  A
     rim of fewer than 3 pixels, or a collinear one, takes the 1-D fill
     along its principal axis without a triangulation; any other rim is
-    triangulated (the 1-D fill again if Qhull refuses), filled by scipy's
-    linear interpolant, and pixels outside its hull take the nearest rim
-    pixel.  Returns None when the ground is fewer than 3 pixels or
-    collinear.
+    triangulated with every hole pixel, filled by scipy's linear
+    interpolant, and pixels outside its hull take the nearest rim pixel.
+    Returns None when the ground is fewer than 3 pixels or collinear.
     """
     nrows, ncols = is_ground.shape
     if _loop_is_collinear(np.argwhere(is_ground)):
@@ -146,15 +145,10 @@ def per_hole_fill(elev, is_ground):
         donor_z = elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
         hole_xy = hole_rc[:, ::-1] + 0.5
 
-        values = None
-        if len(rim_rc) >= 3 and not _loop_is_collinear(rim_rc):
-            try:
-                values = scipy_linear_fill(Delaunay(donor_xy), donor_z, hole_xy)
-            except QhullError:
-                values = None
-        if values is None:
+        if len(rim_rc) < 3 or _loop_is_collinear(rim_rc):
             values = _principal_axis_fill(donor_xy, donor_z, hole_xy)
         else:
+            values = scipy_linear_fill(Delaunay(donor_xy), donor_z, hole_xy)
             outside = np.isnan(values)
             if outside.any():
                 flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from breakline_dtm import ingest
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.errors import HeaderMismatchError
 from breakline_dtm.raster import GridSpec
@@ -118,6 +121,35 @@ def test_shape_validation():
 def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell):
     grid = GridSpec(x0, y0, cell, values.shape[1], values.shape[0])
     assert format_ascii_grid(values, grid) == per_cell_ascii_grid(values, grid)
+
+
+def _integer_cells(dtype):
+    """Any value of ``dtype``, often one of its extremes or a value past 2**53."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        return st.booleans()
+    info = np.iinfo(dtype)
+    near = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, -1, 2**53 - 1, 2**53]
+    near += [2**53 + 1, 2**63 + 1, -(2**53) - 1]  # float64 rounds the odd ones
+    special = [v for v in near if info.min <= v <= info.max]
+    return st.one_of(st.sampled_from(special), hnp.from_dtype(dtype))
+
+
+@st.composite
+def integer_rasters(draw):
+    dtype = draw(st.sampled_from([np.bool_, np.uint8, np.int32, np.int64, np.uint64]))
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    return draw(hnp.arrays(dtype, shape, elements=_integer_cells(dtype)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rasters(), st.sampled_from([1, 5, 7, 1 << 16]))
+def test_integer_writer_bytes_equal_per_cell_oracle(values, chunk_cells):
+    # small chunks make each block build its own token table
+    grid = GridSpec(0.5, -2.0, 0.5, values.shape[1], values.shape[0])
+    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+        text = format_ascii_grid(values, grid)
+    assert text == per_cell_ascii_grid(values, grid)
 
 
 @settings(max_examples=100, deadline=None)

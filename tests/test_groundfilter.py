@@ -106,6 +106,28 @@ def test_labeling_matches_bfs_oracle(nrows, ncols, density, seed):
     assert np.array_equal(lab, oracle_lab)
 
 
+def test_labels_stay_int32_where_scipy_would_pick_int64(monkeypatch):
+    # scipy picks int64 labels by itself only for 2**31 - 2 cells or more,
+    # which no test can allocate; this stand-in picks int64 whenever it is
+    # not told the output type, as scipy does at MAX_GRID_CELLS
+    from scipy import ndimage
+
+    real_label = ndimage.label
+
+    def label_as_at_the_limit(input, structure=None, output=None):
+        if output is None:
+            lab, n = real_label(input, structure)
+            return lab.astype(np.int64), n
+        return real_label(input, structure, output)
+
+    monkeypatch.setattr(ndimage, "label", label_as_at_the_limit)
+    mask = np.array([[1, 0, 1], [1, 0, 0], [0, 1, 1]], dtype=bool)
+    lab, n = label_4connected(mask)
+    assert lab.dtype == np.int32
+    assert n == 3
+    assert np.array_equal(lab, bfs_label_4connected(mask)[0])
+
+
 def region_from_pixels(pixels, shape, cell=1.0):
     lab = np.zeros(shape, dtype=np.int32)
     for r, c in pixels:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
@@ -212,7 +212,7 @@ def test_linear_fill_matches_scipy_interpolator_bit_for_bit(case):
     try:
         tri = Delaunay(xy)
     except QhullError:
-        assume(False)  # interpolate_nonground falls back to the 1-D fill here
+        assume(False)  # interpolate_nonground sends collinear rims to the 1-D fill first
     q = _half_cell_queries(xy)
     assert _same_bits(_fill_hole_linear(tri, z, q), scipy_linear_fill(tri, z, q))
 
@@ -223,7 +223,9 @@ def _ground_masks(draw):
 
     ``random`` scatters non-ground pixels (density 0 gives an all-ground
     mask); ``ring`` makes the raster border non-ground, merged with random
-    interior breaks as the stamped break-line ring is; ``corner`` cuts a
+    interior breaks as the stamped break-line ring is; ``ring_only`` keeps
+    the interior breaks off the ring, whose hole is then the ring alone and
+    lies wholly outside its rim's bounding box; ``corner`` cuts a
     staircase triangle whose rim is one diagonal (2 pixels for the corner
     pixel alone); ``strip`` cuts full-width rows or full-height columns,
     whose rim is one row or one column.  Sparse random holes may be added
@@ -233,13 +235,17 @@ def _ground_masks(draw):
     nrows = draw(st.one_of(st.just(3), st.integers(2, 14)))
     ncols = draw(st.one_of(st.just(3), st.integers(2, 14)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "ring", "corner", "strip"]))
+    kind = draw(st.sampled_from(["random", "ring", "ring_only", "corner", "strip"]))
     ground = np.ones((nrows, ncols), bool)
     if kind == "random":
         ground = rng.uniform(size=ground.shape) >= draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
     elif kind == "ring":
         ground[[0, -1], :] = ground[:, [0, -1]] = False
         ground &= rng.uniform(size=ground.shape) >= draw(st.floats(0.0, 0.4))
+    elif kind == "ring_only":
+        breaks = rng.uniform(size=ground.shape) < draw(st.floats(0.0, 0.4))
+        ground[2:-2, 2:-2] = ~breaks[2:-2, 2:-2]
+        ground[[0, -1], :] = ground[:, [0, -1]] = False
     elif kind == "corner":
         r, c = np.indices(ground.shape)
         k = draw(st.integers(1, min(nrows, ncols)))
@@ -251,7 +257,7 @@ def _ground_masks(draw):
             ground[:k] = False
         else:
             ground[:, -k:] = False
-    extra = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15]))
+    extra = 0.0 if kind == "ring_only" else draw(st.sampled_from([0.0, 0.0, 0.05, 0.15]))
     ground &= rng.uniform(size=ground.shape) >= extra
     z = rng.normal(0.0, 10.0, ground.shape)
     if draw(st.booleans()):
@@ -259,8 +265,16 @@ def _ground_masks(draw):
     return ground, z
 
 
+# the hole (2, 1) lies on the raster border, yet on the hull edge between
+# its rim pixels (2, 0) and (2, 2): find_simplex places it inside, so a
+# border-pixel rule would wrongly give it the nearest donor
+_BORDER_ON_HULL = np.ones((3, 3), bool)
+_BORDER_ON_HULL[2, 1] = False
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_ground_masks())
+@example(case=(_BORDER_ON_HULL, np.arange(9.0).reshape(3, 3) ** 1.5))
 def test_interpolation_matches_per_hole_oracle_bit_for_bit(case):
     ground, z = case
     grid = GridSpec(0, 0, 1, ground.shape[1], ground.shape[0])
@@ -272,3 +286,35 @@ def test_interpolation_matches_per_hole_oracle_bit_for_bit(case):
     dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
     assert _same_bits(dtm.elev, expected)
     assert np.array_equal(dtm.source, np.where(ground, SOURCE_MEASURED, SOURCE_INTERPOLATED))
+
+
+@pytest.mark.parametrize(
+    "breaks, triangulations",
+    [
+        ([], 0),  # the ring alone: every hole pixel is outside its rim's box
+        ([(slice(4, 6), slice(5, 8))], 1),  # plus an interior hole
+        ([(1, 5)], 1),  # a break merged with the ring lies inside its rim's box
+    ],
+)
+def test_delaunay_built_only_for_hole_pixels_inside_the_rim_box(
+    monkeypatch, breaks, triangulations
+):
+    import scipy.spatial
+
+    real_delaunay = scipy.spatial.Delaunay
+    built = []
+
+    def counting_delaunay(points, *args, **kwargs):
+        built.append(len(points))
+        return real_delaunay(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counting_delaunay)
+    grid = GridSpec(0, 0, 1, 12, 10)
+    z = plane(grid, 5.0, 0.3, -0.2) + np.random.default_rng(3).normal(0, 1, grid.shape)
+    ground = np.ones(grid.shape, bool)
+    ground[[0, -1], :] = ground[:, [0, -1]] = False  # the stamped border ring
+    for index in breaks:
+        ground[index] = False
+    dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
+    assert len(built) == triangulations
+    assert _same_bits(dtm.elev, per_hole_fill(z, ground))

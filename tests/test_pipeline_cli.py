@@ -21,6 +21,7 @@ from breakline_dtm.scene import (
     truth_rasters,
     _rect_polygon,
 )
+from oracles import per_cell_ascii_grid
 
 SCENE = Scene(
     extent=BBox(0, 0, 400, 400),
@@ -267,7 +268,7 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
         ]
     )
     assert code == 0
-    for name in (
+    outputs = (
         "dtm.asc",
         "ground_mask.asc",
         "water_mask.asc",
@@ -280,15 +281,32 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
         "labels.asc",
         "source.asc",
         "occupancy.asc",
-    ):
+    )
+    for name in outputs:
         assert (out_dir / name).exists(), name
 
     report = json.loads((out_dir / "report.json").read_text())
     assert report["parameters"]["a1_m2"] == 100.0
+    assert set(report["writes_s"]) == {name for name in outputs if name.endswith(".asc")}
+    assert all(seconds >= 0 for seconds in report["writes_s"].values())
     dtm, grid = read_ascii_grid(out_dir / "dtm.asc")
     assert grid.shape == (240, 240)
     # flat scene: away from the building the DTM reads the plane
     assert abs(dtm[10, 10] - 50.0) < 1e-5
+
+    # the integer and bool rasters take the writer's token-table path
+    cfg = PipelineConfig(filter_params=FilterParams(a1_m2=100, a2_m2=200))
+    res = run_pipeline(synth_dir / "points.xyz", cfg)
+    for name, values in [
+        ("labels.asc", res.segmentation.label),
+        ("occupancy.asc", res.sparse.occupancy),
+        ("source.asc", res.dtm.source),
+        ("break_mask.asc", res.breaks.is_break),
+        ("ground_mask.asc", res.ground.is_ground),
+        ("water_mask.asc", res.water.is_water),
+    ]:
+        assert values.dtype.kind in "biu", name
+        assert (out_dir / name).read_text() == per_cell_ascii_grid(values, grid), name
 
 
 def test_cli_slope_and_water(tmp_path):
@@ -510,6 +528,10 @@ def test_cli_crop_writes_water_segments_inside_window(tmp_path, crop_points):
         ["synth", "{scene}", "--density", "nan"],
         ["synth", "{scene}", "--density", "inf"],
         ["synth", "{scene}", "--seed", "-1"],
+        ["dtm", "{pts}", "--workers", "0"],
+        ["dtm", "{pts}", "--workers", "-3"],
+        ["slope", "{pts}", "--workers", "0"],
+        ["water", "{pts}", "--workers", "-3"],
     ],
 )
 def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):

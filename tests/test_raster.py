@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -153,6 +155,47 @@ def test_rasterize_order_invariant_and_worker_invariant(n, workers, seed, margin
     assert np.array_equal(threaded.elev, elev, equal_nan=True)
     assert np.array_equal(threaded.occupancy, occupancy)
     assert threaded.oob_dropped == n - occupancy.sum()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_rasterize_workers_below_one_rejected(workers):
+    pc = PointCloud(np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 2.0]]))
+    with pytest.raises(ParameterError, match=f"workers must be at least 1, got {workers}"):
+        rasterize_min(pc, make_grid_spec(bounds(pc), 0.5), workers)
+
+
+def test_rasterize_pool_capped_at_cpu_count(monkeypatch):
+    # a pool that records its size and runs each task in the caller's
+    # thread, so a large worker count starts no thread
+    import breakline_dtm.raster as raster_mod
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(raster_mod, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(raster_mod.os, "cpu_count", lambda: 3)
+    rng = np.random.default_rng(5)
+    pc = PointCloud(rng.uniform(0, 10, (200, 3)))
+    grid = make_grid_spec(BBox(0, 0, 10, 10), 0.5)
+    one = rasterize_min(pc, grid, 1)
+    many = rasterize_min(pc, grid, 1000)
+    assert sizes == [1, 3]
+    assert np.array_equal(one.elev, many.elev, equal_nan=True)
+    assert np.array_equal(one.occupancy, many.occupancy)
 
 
 def test_fill_single_occupied_cell_floods_grid():
