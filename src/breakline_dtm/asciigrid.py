@@ -1,6 +1,6 @@
 """ESRI ASCII grid reader/writer, the package's bit-exact raster format.
 
-Values are printed with 6 decimal places and NaN cells as the literal
+Values are printed with 6 decimal places and non-finite cells as the literal
 ``-9999`` token, so identical rasters always serialize to identical
 bytes.  Arrays follow the package convention of row 0 = south; the file
 format stores the top row first, so rows are flipped on the way through.
@@ -9,15 +9,17 @@ format stores the top row first, so rows are flipped on the way through.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import format_rows_6f
+from .ingest import format_6f_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
@@ -28,36 +30,32 @@ _LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
 _CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _nodata_tokens(line: str) -> str:
-    # "%.6f" prints non-finite values as nan/inf/-inf, which no finite
-    # value's digits can contain
-    return line.replace("-inf", "-9999").replace("inf", "-9999").replace("nan", "-9999")
+def _grid_chunks(values: np.ndarray, grid: GridSpec) -> Iterator[bytes]:
+    """The header, then the rows north first; the shape is checked up front."""
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"raster shape {values.shape} != grid shape {grid.shape}")
+    header = (
+        f"ncols {grid.ncols}\n"
+        f"nrows {grid.nrows}\n"
+        f"xllcorner {grid.origin_x:.6f}\n"
+        f"yllcorner {grid.origin_y:.6f}\n"
+        f"cellsize {grid.cell:.6f}\n"
+        "NODATA_value -9999\n"
+    )
+    rows = format_6f_blocks(np.flipud(values), nonfinite=b"-9999")
+    return itertools.chain([header.encode("ascii")], rows)
 
 
 def format_ascii_grid(values: np.ndarray, grid: GridSpec) -> str:
-    if values.shape != grid.shape:
-        raise ValueError(f"raster shape {values.shape} != grid shape {grid.shape}")
-    lines = [
-        f"ncols {grid.ncols}",
-        f"nrows {grid.nrows}",
-        f"xllcorner {grid.origin_x:.6f}",
-        f"yllcorner {grid.origin_y:.6f}",
-        f"cellsize {grid.cell:.6f}",
-        "NODATA_value -9999",
-    ]
-    values = np.asarray(values)
-    if values.dtype.kind not in "biu":  # bool and integer rasters keep their dtype
-        values = values.astype(np.float64, copy=False)
-    flipped = np.flipud(values)
-    finite_rows = np.isfinite(flipped).all(axis=1).tolist()
-    for line, finite in zip(format_rows_6f(flipped), finite_rows):
-        lines.append(line if finite else _nodata_tokens(line))
-    return "\n".join(lines) + "\n"
+    return b"".join(_grid_chunks(values, grid)).decode("ascii")
 
 
 def write_ascii_grid(values: np.ndarray, grid: GridSpec, path) -> None:
-    """Write a raster; NaN cells become the NODATA token."""
-    Path(path).write_text(format_ascii_grid(values, grid), encoding="ascii")
+    """Write a raster; non-finite cells become the NODATA token."""
+    chunks = _grid_chunks(values, grid)
+    with open(path, "wb") as f:
+        f.writelines(chunks)
 
 
 def _lf_lines(data: bytes) -> bytes:

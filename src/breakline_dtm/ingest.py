@@ -7,6 +7,7 @@ in a projected metric CRS.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
@@ -26,7 +27,7 @@ _FIELD_SEP = re.compile(r"[,\s]+")
 # syntax, and the ASCII controls that str.splitlines() ends a line at but
 # np.loadtxt reads as field whitespace.
 _NOT_BULK = (b"#", b",", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# cells per block that format_rows_6f converts to Python objects at once
+# cells per block that format_6f_blocks turns into text at once
 _FORMAT_CHUNK_CELLS = 1 << 16
 
 # public header size of each LAS 1.x minor version
@@ -267,34 +268,159 @@ def bounds(pc: PointCloud) -> BBox:
     return BBox(float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
 
-def format_rows_6f(values: np.ndarray) -> Iterator[str]:
-    """Yield each row of a 2-D array as its cells in ``%.6f``, space separated.
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ASCII digit words: (quads, pairs).
 
-    A float array's non-finite cells print as ``nan``, ``inf`` or ``-inf``.
-    A bool or integer array prints each cell as the token of its float64
-    value, looked up in a table of the distinct values, so the text is the
-    float path's.  Rows are converted a chunk at a time, to bound memory.
+    ``quads`` holds 4-byte words: row k < 10000 is ``"%04d" % k``, row
+    10000 + k the digits of k right-aligned after NUL bytes (0 is all
+    NUL), row 20000 + k the same but ``"0"`` for 0.  ``pairs`` row k is
+    ``"%02d" % k``.
+    """
+    k = np.arange(10000)[:, None]
+    padded = (k // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    lead = np.where(k >= np.array([1000, 100, 10, 1]), padded, 0).astype(np.uint8)
+    unit = lead.copy()
+    unit[0, 3] = ord("0")
+    quads = np.concatenate([padded, lead, unit]).view(np.uint32).ravel()
+    pairs = np.ascontiguousarray(padded[:100, 2:]).view(np.uint16).ravel()
+    quads.setflags(write=False)
+    pairs.setflags(write=False)
+    return quads, pairs
+
+
+def _column(m: np.ndarray, col: int, dtype) -> np.ndarray:
+    """The bytes of ``m[:, col:]`` read as one ``dtype`` word per row."""
+    return np.ndarray((m.shape[0],), dtype, buffer=m, offset=col, strides=(m.shape[1],))
+
+
+def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(a, b)`` for an int64 array in half the time: ``//`` is fast by a scalar."""
+    q = a // b
+    return q, a - q * b
+
+
+def _token_matrix(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
+    """The ``"%.6f"`` tokens of a 1-D float64 array as a byte matrix.
+
+    Row i holds the token of ``x[i]`` right-aligned after NUL bytes; the
+    last column is left for a separator.  A cell's digits are those of
+    ``n = rint(|x| * 1e6)``: the float64 product is off the exact
+    ``|x| * 10**6`` by at most ``2**-53`` of itself, so it rounds to the
+    same integer unless it lies within ``2**-51`` of itself of a
+    half-integer.  Those cells (exact ties among them), products of
+    ``2**52`` or more and non-finite cells take Python's ``"%.6f"``, or
+    ``nonfinite`` for a non-finite cell where that is given.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(x) * 1e6
+        fast = (p < 2.0**52) & (np.abs(p - np.floor(p) - 0.5) > p * 2.0**-51)
+    n = np.rint(p, out=np.zeros_like(p), where=fast).astype(np.int64)
+    whole, frac = _divmod(n, 1_000_000)
+
+    slow = np.flatnonzero(~fast)
+    tokens = [
+        nonfinite if nonfinite is not None and not math.isfinite(v) else b"%.6f" % v
+        for v in x[slow].tolist()
+    ]
+    lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
+
+    # sign, 4-digit groups of the integer part, ".", 6 decimals, separator
+    groups = (len(str(int(whole.max()))) + 3) // 4
+    width = max(4 * groups + 9, int(lengths.max(initial=0)) + 1)
+    dot = width - 8
+    m = np.empty((x.size, width), np.uint8)
+    m[:, : dot - 4 * groups] = 0
+    m[:, dot] = ord(".")
+    quads, pairs = _digit_tables()
+    hi, lo = _divmod(frac, 10000)
+    np.take(pairs, hi, out=_column(m, dot + 1, np.uint16), mode="clip")
+    np.take(quads, lo, out=_column(m, dot + 3, np.uint32), mode="clip")
+    for g in range(groups):
+        whole, group = _divmod(whole, 10000)
+        # digits above the cell's first one stay NUL
+        group += (whole == 0) * (20000 if g == 0 else 10000)
+        np.take(quads, group, out=_column(m, dot - 4 * (g + 1), np.uint32), mode="clip")
+
+    neg = np.flatnonzero(np.signbit(x) & fast)
+    ndigits = np.count_nonzero(m[neg, dot - 4 * groups : dot], axis=1)
+    m[neg, dot - 1 - ndigits] = ord("-")
+
+    m[slow, : width - 1] = 0
+    for size in np.unique(lengths).tolist():
+        picked = b"".join(tok for tok in tokens if len(tok) == size)
+        m[slow[lengths == size], width - 1 - size : width - 1] = np.frombuffer(
+            picked, np.uint8
+        ).reshape(-1, size)
+    return m
+
+
+def _joined(m: np.ndarray, ncols: int) -> bytes:
+    """Rows of ``ncols`` tokens of a token matrix, space separated and newline ended."""
+    m[:, -1] = ord(" ")
+    m[ncols - 1 :: ncols, -1] = ord("\n")
+    keep = m != 0
+    kept = int(np.count_nonzero(keep))
+    first = m.shape[1] - kept // m.shape[0]
+    if kept % m.shape[0] == 0 and keep[:, first:].all():
+        return m[:, first:].tobytes()  # every token has the same width
+    return m[keep].tobytes()
+
+
+def _token_table(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
+    """``_token_matrix`` without the columns that are NUL in every row."""
+    m = _token_matrix(x, nonfinite)
+    first = int((m[:, :-1] != 0).any(axis=0).argmax())
+    return np.ascontiguousarray(m[:, first:])
+
+
+def _gather_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` for a C-contiguous uint8 table at least 8 wide, 8 bytes per take."""
+    width = table.shape[1]
+    out = np.empty((index.size, width), np.uint8)
+    for col in (*range(0, width - 8, 8), width - 8):
+        words = _column(table, col, np.uint64)
+        np.take(words, index, out=_column(out, col, np.uint64), mode="clip")
+    return out
+
+
+def format_6f_blocks(values: np.ndarray, nonfinite: bytes | None = None) -> Iterator[bytes]:
+    """Yield the rows of a 2-D array as ASCII text, a block of whole rows at a time.
+
+    Each cell is its float64 value in ``%.6f``; cells are space separated
+    and every row ends in a newline.  A non-finite cell prints as ``nan``,
+    ``inf`` or ``-inf``, or as ``nonfinite`` where that is given.  A bool
+    or integer array prints the tokens of its distinct values, gathered
+    per cell.  Blocks hold about ``_FORMAT_CHUNK_CELLS`` cells, to bound
+    memory.
     """
     nrows, ncols = values.shape
     step = max(1, _FORMAT_CHUNK_CELLS // ncols)
-    if values.dtype.kind in "biu":
-        for start in range(0, nrows, step):
-            block = values[start : start + step]
-            uniq, inverse = np.unique(block.astype(np.float64), return_inverse=True)
-            table = ["%.6f" % v for v in uniq.tolist()]
-            for row in inverse.reshape(block.shape).tolist():
-                yield " ".join(map(table.__getitem__, row))
-        return
-    row_fmt = " ".join(["%.6f"] * ncols)
-    for start in range(0, nrows, step):
-        for row in values[start : start + step].tolist():
-            yield row_fmt % tuple(row)
+    kind = values.dtype.kind
+    if kind == "b":
+        table = _token_table(np.array([0.0, 1.0]), nonfinite)
+    elif kind not in "iu":
+        values = values.astype(np.float64, copy=False)
+    for first in range(0, nrows, step):
+        block = values[first : first + step].ravel()
+        if kind == "b":
+            m = _gather_rows(table, block.view(np.uint8))
+        elif kind in "iu":
+            uniq, index = np.unique(block.astype(np.float64), return_inverse=True)
+            m = _gather_rows(_token_table(uniq, nonfinite), index)
+        else:
+            m = _token_matrix(block, nonfinite)
+        yield _joined(m, ncols)
 
 
 def write_points_xyz(pc: PointCloud, target) -> None:
-    """Write a cloud as plain XYZ text with 6 decimal places per field."""
-    payload = "".join(line + "\n" for line in format_rows_6f(pc.xyz))
+    """Write a cloud as plain XYZ text with 6 decimal places per field.
+
+    ``target`` is a path or a text stream.
+    """
+    blocks = format_6f_blocks(pc.xyz)
     if isinstance(target, (str, Path)):
-        Path(target).write_text(payload, encoding="utf-8")
+        with open(target, "wb") as f:
+            f.writelines(blocks)
     else:
-        target.write(payload)
+        target.write(b"".join(blocks).decode("ascii"))

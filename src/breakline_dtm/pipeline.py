@@ -10,6 +10,7 @@ alone.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
@@ -73,9 +74,16 @@ class PipelineResult:
     report: dict
 
 
+# ru_maxrss is in KiB on Linux and in bytes on macOS
+_MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
+
+
 class _StageTimer:
+    """Wall time of each stage, and the process's peak RSS when it ended."""
+
     def __init__(self) -> None:
         self.timings: dict[str, float] = {}
+        self.peak_rss_mb: dict[str, float] = {}
 
     def run(self, name: str, fn):
         start = time.perf_counter()
@@ -85,6 +93,10 @@ class _StageTimer:
             exc.args = (f"[stage {name}] {exc}",)
             raise
         self.timings[name] = time.perf_counter() - start
+        import resource  # here, so that only a pipeline run loads it
+
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.peak_rss_mb[name] = round(maxrss * _MAXRSS_BYTES / 2**20, 3)
         return result
 
 
@@ -180,6 +192,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "water_px": int(wmap.is_water.sum()),
         },
         "timings_s": {k: round(v, 6) for k, v in timer.timings.items()},
+        "peak_rss_mb": timer.peak_rss_mb,
     }
 
     result = PipelineResult(dtm, ground, wmap, sparse, dsm, slp, breaks, seg, stats, report)

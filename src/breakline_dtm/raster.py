@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -142,21 +144,30 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     The points are split into ``workers`` chunks: the caller's thread bins
     the first, a pool of at most ``os.cpu_count()`` threads the rest.  The
     min/count merge is commutative and exact, so the result is independent
-    of the partitioning and of thread scheduling.  ``workers`` < 1 is a
-    ParameterError.
+    of the partitioning and of thread scheduling.  The pool holds at most
+    one chunk per thread in flight and the caller merges in chunk order,
+    so at most threads + 1 grid-sized partial results are alive at once.
+    ``workers`` < 1 is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     first, *rest = np.array_split(pc.xyz, workers)
     threads = min(max(1, len(rest)), os.cpu_count() or 1)
+    chunks = iter(rest)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_bin_min_count, chunk, grid) for chunk in rest]
+        pending = deque(
+            pool.submit(_bin_min_count, chunk, grid) for chunk in islice(chunks, threads)
+        )
         elev, occ, dropped = _bin_min_count(first, grid)
-        for future in futures:
-            e, o, d = future.result()
+        while pending:
+            e, o, d = pending.popleft().result()
             np.minimum(elev, e, out=elev)
             occ += o
             dropped += d
+            del e, o  # merged: free this partial before the next is binned
+            chunk = next(chunks, None)
+            if chunk is not None:
+                pending.append(pool.submit(_bin_min_count, chunk, grid))
 
     elev = elev.reshape(grid.shape)
     occ = occ.reshape(grid.shape)

@@ -345,6 +345,11 @@ def per_cell_ascii_grid(values, grid):
     return "\n".join(lines) + "\n"
 
 
+def per_cell_xyz_text(xyz):
+    """XYZ text, one f-string per field; NaN/inf print as Python prints them."""
+    return "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in np.asarray(xyz).tolist())
+
+
 def per_line_ascii_grid(text):
     """Parse ASCII grid text with float() per cell.
 

@@ -1,26 +1,63 @@
+import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from breakline_dtm import ingest
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.errors import HeaderMismatchError
+from breakline_dtm.ingest import PointCloud, write_points_xyz
 from breakline_dtm.raster import GridSpec
 
-from oracles import per_cell_ascii_grid, per_line_ascii_grid
+from oracles import per_cell_ascii_grid, per_cell_xyz_text, per_line_ascii_grid
 
 # values whose "%.6f" text is special: non-finite, signed zero, the
 # NODATA value itself, 16-digit integers and values that round to zero
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -9999.0, 1e15, -1e15, 4.9e-7, -4.9e-7, 5e-7]
+# |x| * 1e6 from here on is at least 2**52 in float64
+BIG = 2.0**52 / 1e6
+
+
+@st.composite
+def near_ties(draw):
+    """Values where rounding |x| * 1e6 in float64 can pick the wrong integer.
+
+    The double nearest to (k + 0.5) / 1e6 and its neighbours, exact
+    dyadic ties such as 1 / 128 (whose product with 1e6 is exactly
+    k + 0.5), and values a few ulps either side of 2**52 / 1e6.
+    """
+    kind = draw(st.sampled_from(["half", "dyadic", "big"]))
+    if kind == "half":
+        k = draw(st.one_of(st.integers(0, 10**7), st.integers(0, 2**52 - 1)))
+        x = (k + 0.5) / 1e6
+    elif kind == "dyadic":
+        x = (2 * draw(st.integers(0, 2**40)) + 1) / 128
+    else:
+        x = BIG
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return draw(st.sampled_from([x, -x]))
+
+
 cells = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(-1e6, 1e6, allow_nan=False),
     st.floats(-1e-6, 1e-6, allow_nan=False),
     st.floats(allow_nan=True, allow_infinity=True, width=64),
+    near_ties(),
+    # subnormals and tiny negatives print as (-)0.000000
+    st.floats(-1e-300, 0.0, allow_subnormal=True),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]),
+    # the first value of each width of the integer part, and the last before it
+    st.integers(0, 9).flatmap(
+        lambda e: st.sampled_from([10.0**e, 10.0**e - 5e-7, -(10.0**e), 5e-7 - 10.0**e])
+    ),
 )
 rasters = st.one_of(
     hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=cells),
@@ -117,10 +154,37 @@ def test_shape_validation():
 
 
 @settings(max_examples=200, deadline=None)
-@given(rasters, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.01, 100))
-def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell):
+@given(
+    rasters,
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6),
+    st.floats(0.01, 100),
+    st.sampled_from([1, 5, 7, 1 << 16]),
+)
+def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell, chunk_cells):
+    # small chunks put tokens of few widths, or a lone slow cell, in a block
     grid = GridSpec(x0, y0, cell, values.shape[1], values.shape[0])
-    assert format_ascii_grid(values, grid) == per_cell_ascii_grid(values, grid)
+    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+        text = format_ascii_grid(values, grid)
+    assert text == per_cell_ascii_grid(values, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.just(3)), elements=cells),
+    st.sampled_from([1, 5, 7, 1 << 16]),
+)
+@example(np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0078125, 5e-324]]), 1)
+def test_points_writer_bytes_equal_per_cell_oracle(tmp_path_factory, xyz, chunk_cells):
+    pc = PointCloud(xyz)
+    stream = io.StringIO()
+    path = tmp_path_factory.mktemp("points") / "p.xyz"
+    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+        write_points_xyz(pc, stream)
+        write_points_xyz(pc, path)
+    expected = per_cell_xyz_text(xyz)
+    assert stream.getvalue() == expected
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def _integer_cells(dtype):

@@ -197,10 +197,13 @@ def test_pipeline_crop_equals_window_of_full_run(crop_points, crop_full, crop, r
         "ncols": sub.ncols,
         "nrows": sub.nrows,
     }
-    for key in ("parameters", "timings_s", "grid_cropped"):
+    # the run's own time and memory measurements differ between runs
+    for key in ("parameters", "timings_s", "peak_rss_mb", "grid_cropped"):
         res.report.pop(key)
     assert res.report == {
-        k: v for k, v in full.report.items() if k not in ("parameters", "timings_s")
+        k: v
+        for k, v in full.report.items()
+        if k not in ("parameters", "timings_s", "peak_rss_mb")
     }
 
 
@@ -289,6 +292,10 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
     assert report["parameters"]["a1_m2"] == 100.0
     assert set(report["writes_s"]) == {name for name in outputs if name.endswith(".asc")}
     assert all(seconds >= 0 for seconds in report["writes_s"].values())
+    # the high-water mark after each stage, in stage order
+    assert list(report["peak_rss_mb"]) == list(report["timings_s"])
+    peaks = list(report["peak_rss_mb"].values())
+    assert peaks[0] > 0 and peaks == sorted(peaks)
     dtm, grid = read_ascii_grid(out_dir / "dtm.asc")
     assert grid.shape == (240, 240)
     # flat scene: away from the building the DTM reads the plane

@@ -1,3 +1,5 @@
+import threading
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -196,6 +198,43 @@ def test_rasterize_pool_capped_at_cpu_count(monkeypatch):
     assert sizes == [1, 3]
     assert np.array_equal(one.elev, many.elev, equal_nan=True)
     assert np.array_equal(one.occupancy, many.occupancy)
+
+
+def test_rasterize_holds_at_most_threads_plus_one_partials(monkeypatch):
+    # every grid-sized partial result is counted from its return until it
+    # is freed; 64 chunks on 2 threads may keep the caller's running
+    # result and one partial per thread alive, not all 64
+    import breakline_dtm.raster as raster_mod
+
+    bin_min_count = raster_mod._bin_min_count
+    lock = threading.Lock()
+    live = peak = 0
+
+    def freed():
+        nonlocal live
+        with lock:
+            live -= 1
+
+    def counted(xyz, grid):
+        nonlocal live, peak
+        elev, occ, dropped = bin_min_count(xyz, grid)
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        weakref.finalize(elev, freed)
+        return elev, occ, dropped
+
+    rng = np.random.default_rng(8)
+    pc = PointCloud(rng.uniform(0, 20, (5000, 3)))
+    grid = make_grid_spec(BBox(0, 0, 20, 20), 0.5)
+    one = rasterize_min(pc, grid, 1)
+    monkeypatch.setattr(raster_mod, "_bin_min_count", counted)
+    monkeypatch.setattr(raster_mod.os, "cpu_count", lambda: 2)
+    many = rasterize_min(pc, grid, 64)
+    assert 1 < peak <= 3
+    assert np.array_equal(one.elev, many.elev, equal_nan=True)
+    assert np.array_equal(one.occupancy, many.occupancy)
+    assert one.oob_dropped == many.oob_dropped
 
 
 def test_fill_single_occupied_cell_floods_grid():
