@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import format_6f_blocks
+from .ingest import format_6f_blocks, write_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
@@ -52,10 +52,11 @@ def format_ascii_grid(values: np.ndarray, grid: GridSpec) -> str:
 
 
 def write_ascii_grid(values: np.ndarray, grid: GridSpec, path) -> None:
-    """Write a raster; non-finite cells become the NODATA token."""
-    chunks = _grid_chunks(values, grid)
-    with open(path, "wb") as f:
-        f.writelines(chunks)
+    """Write a raster; non-finite cells become the NODATA token.
+
+    A failed write leaves no partial file (see ``ingest.write_blocks``).
+    """
+    write_blocks(path, _grid_chunks(values, grid))
 
 
 def _lf_lines(data: bytes) -> bytes:

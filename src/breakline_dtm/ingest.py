@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
 import re
 import struct
 import warnings
@@ -367,9 +368,9 @@ def _joined(m: np.ndarray, ncols: int) -> bytes:
     return m[keep].tobytes()
 
 
-def _token_table(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
-    """``_token_matrix`` without the columns that are NUL in every row."""
-    m = _token_matrix(x, nonfinite)
+def _token_table(x: np.ndarray) -> np.ndarray:
+    """``_token_matrix`` of finite values without the columns that are NUL in every row."""
+    m = _token_matrix(x, None)
     first = int((m[:, :-1] != 0).any(axis=0).argmax())
     return np.ascontiguousarray(m[:, first:])
 
@@ -390,27 +391,41 @@ def format_6f_blocks(values: np.ndarray, nonfinite: bytes | None = None) -> Iter
     Each cell is its float64 value in ``%.6f``; cells are space separated
     and every row ends in a newline.  A non-finite cell prints as ``nan``,
     ``inf`` or ``-inf``, or as ``nonfinite`` where that is given.  A bool
-    or integer array prints the tokens of its distinct values, gathered
-    per cell.  Blocks hold about ``_FORMAT_CHUNK_CELLS`` cells, to bound
-    memory.
+    array gathers the tokens of 0 and 1 per cell.  Blocks hold about
+    ``_FORMAT_CHUNK_CELLS`` cells, to bound memory.
     """
     nrows, ncols = values.shape
     step = max(1, _FORMAT_CHUNK_CELLS // ncols)
-    kind = values.dtype.kind
-    if kind == "b":
-        table = _token_table(np.array([0.0, 1.0]), nonfinite)
-    elif kind not in "iu":
+    is_bool = values.dtype.kind == "b"
+    if is_bool:
+        table = _token_table(np.array([0.0, 1.0]))
+    else:
         values = values.astype(np.float64, copy=False)
     for first in range(0, nrows, step):
         block = values[first : first + step].ravel()
-        if kind == "b":
+        if is_bool:
             m = _gather_rows(table, block.view(np.uint8))
-        elif kind in "iu":
-            uniq, index = np.unique(block.astype(np.float64), return_inverse=True)
-            m = _gather_rows(_token_table(uniq, nonfinite), index)
         else:
             m = _token_matrix(block, nonfinite)
         yield _joined(m, ncols)
+
+
+def write_blocks(path, blocks: Iterator[bytes]) -> None:
+    """Write byte blocks to ``path`` through a sibling ``.part`` file.
+
+    The file is renamed onto ``path`` only once every block is written,
+    so a failure while the blocks are made leaves no partial file, and
+    any earlier file at ``path`` as it was.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as f:
+            f.writelines(blocks)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def write_points_xyz(pc: PointCloud, target) -> None:
@@ -420,7 +435,6 @@ def write_points_xyz(pc: PointCloud, target) -> None:
     """
     blocks = format_6f_blocks(pc.xyz)
     if isinstance(target, (str, Path)):
-        with open(target, "wb") as f:
-            f.writelines(blocks)
+        write_blocks(target, blocks)
     else:
         target.write(b"".join(blocks).decode("ascii"))

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -145,29 +145,29 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     the first, a pool of at most ``os.cpu_count()`` threads the rest.  The
     min/count merge is commutative and exact, so the result is independent
     of the partitioning and of thread scheduling.  The pool holds at most
-    one chunk per thread in flight and the caller merges in chunk order,
-    so at most threads + 1 grid-sized partial results are alive at once.
-    ``workers`` < 1 is a ParameterError.
+    one chunk per thread in flight; the caller merges whichever finishes
+    first and submits the next, so at most threads + 1 grid-sized partial
+    results are alive at once.  ``workers`` < 1 is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     first, *rest = np.array_split(pc.xyz, workers)
     threads = min(max(1, len(rest)), os.cpu_count() or 1)
     chunks = iter(rest)
+    finished: SimpleQueue[Future] = SimpleQueue()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque(
-            pool.submit(_bin_min_count, chunk, grid) for chunk in islice(chunks, threads)
-        )
+        for chunk in islice(chunks, threads):
+            pool.submit(_bin_min_count, chunk, grid).add_done_callback(finished.put)
         elev, occ, dropped = _bin_min_count(first, grid)
-        while pending:
-            e, o, d = pending.popleft().result()
+        for _ in rest:
+            e, o, d = finished.get().result()
             np.minimum(elev, e, out=elev)
             occ += o
             dropped += d
             del e, o  # merged: free this partial before the next is binned
             chunk = next(chunks, None)
             if chunk is not None:
-                pending.append(pool.submit(_bin_min_count, chunk, grid))
+                pool.submit(_bin_min_count, chunk, grid).add_done_callback(finished.put)
 
     elev = elev.reshape(grid.shape)
     occ = occ.reshape(grid.shape)

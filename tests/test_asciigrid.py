@@ -128,6 +128,29 @@ def test_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_failed_write_leaves_earlier_file(tmp_path):
+    # the first block reaches the disk before the second one fails
+    grid = GridSpec(0, 0, 1.0, 4, 6)
+    path = tmp_path / "f.asc"
+    write_ascii_grid(np.zeros((6, 4)), grid, path)
+    before = path.read_bytes()
+    token_matrix = ingest._token_matrix
+    calls = []
+
+    def fails_second(x, nonfinite):
+        calls.append(x.size)
+        if len(calls) == 2:
+            raise MemoryError
+        return token_matrix(x, nonfinite)
+
+    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", 8), \
+            mock.patch.object(ingest, "_token_matrix", fails_second):
+        with pytest.raises(MemoryError):
+            write_ascii_grid(np.ones((6, 4)), grid, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.asc"]
+
+
 def test_header_mismatch_errors(tmp_path):
     p = tmp_path / "bad.asc"
     p.write_text("ncols 2\nnrows 2\n1 2\n3 4\n")
@@ -209,7 +232,7 @@ def integer_rasters(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_rasters(), st.sampled_from([1, 5, 7, 1 << 16]))
 def test_integer_writer_bytes_equal_per_cell_oracle(values, chunk_cells):
-    # small chunks make each block build its own token table
+    # small chunks split the raster into many blocks
     grid = GridSpec(0.5, -2.0, 0.5, values.shape[1], values.shape[0])
     with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
         text = format_ascii_grid(values, grid)
