@@ -19,15 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import format_6f_blocks, write_blocks
+from .ingest import CONTROL_LINE_ENDS, format_6f_blocks, write_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 # the ASCII line boundaries of str.splitlines(); np.loadtxt reads only
 # LF and CRLF as line ends, and the controls among them as whitespace
-_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
-_CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_LINE_END = re.compile(rb"\r\n|[\n\r" + b"".join(CONTROL_LINE_ENDS) + rb"]")
 
 
 def _grid_chunks(values: np.ndarray, grid: GridSpec) -> Iterator[bytes]:
@@ -60,9 +59,13 @@ def write_ascii_grid(values: np.ndarray, grid: GridSpec, path) -> None:
 
 
 def _lf_lines(data: bytes) -> bytes:
-    """``data`` with every line boundary np.loadtxt would misread as LF."""
-    lone_cr = data.count(b"\r") != data.count(b"\r\n")
-    if lone_cr or any(c in data for c in _CONTROL_LINE_ENDS):
+    """``data`` with every line boundary np.loadtxt would misread as LF.
+
+    Text with none, such as LF-only or CRLF-only text, is returned as it
+    is; only text holding a CR pays for counting its CRs against its CRLFs.
+    """
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if lone_cr or any(c in data for c in CONTROL_LINE_ENDS):
         return _LINE_END.sub(b"\n", data)
     return data
 

@@ -258,7 +258,7 @@ def _cmd_compare(args) -> int:
         mask_arr, mask_grid = read_ascii_grid(args.mask)
         if mask_grid != grid_a:
             raise InputDataError("mask grid differs from the compared rasters")
-        exclude = np.nan_to_num(mask_arr) != 0
+        exclude = np.abs(mask_arr) > 0  # NaN (NODATA) is compared, +-inf excluded
     report = compare_tiled(arr_a, arr_b, exclude=exclude, tile_px=args.tile_px)
     write_tile_csv(report, args.out)
     if report.global_mae is None:

@@ -24,10 +24,12 @@ from .errors import EmptyInputError, MalformedRecordError, UnsupportedFormatErro
 
 _LAS_MAGIC = b"LASF"
 _FIELD_SEP = re.compile(r"[,\s]+")
+# The ASCII controls that str.splitlines() ends a line at but np.loadtxt
+# reads as field whitespace.
+CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # Bytes that send XYZ text to the per-line parser: comment and comma
-# syntax, and the ASCII controls that str.splitlines() ends a line at but
-# np.loadtxt reads as field whitespace.
-_NOT_BULK = (b"#", b",", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# syntax, and the control line ends.
+_NOT_BULK = (b"#", b",", *CONTROL_LINE_ENDS)
 # cells per block that format_6f_blocks turns into text at once
 _FORMAT_CHUNK_CELLS = 1 << 16
 
@@ -306,16 +308,17 @@ def _token_matrix(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
 
     Row i holds the token of ``x[i]`` right-aligned after NUL bytes; the
     last column is left for a separator.  A cell's digits are those of
-    ``n = rint(|x| * 1e6)``: the float64 product is off the exact
-    ``|x| * 10**6`` by at most ``2**-53`` of itself, so it rounds to the
-    same integer unless it lies within ``2**-51`` of itself of a
-    half-integer.  Those cells (exact ties among them), products of
-    ``2**52`` or more and non-finite cells take Python's ``"%.6f"``, or
-    ``nonfinite`` for a non-finite cell where that is given.
+    ``n = rint(|x| * 1e6)``.  Below ``2**52`` every half-integer is a
+    float64, and rounding the exact ``|x| * 10**6`` to the product is
+    monotone, so the product never crosses a half-integer: it rounds to
+    the same integer as the exact value unless it *is* a half-integer.
+    Those cells (exact ties among them), products of ``2**52`` or more
+    and non-finite cells take Python's ``"%.6f"``, or ``nonfinite`` for
+    a non-finite cell where that is given.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.abs(x) * 1e6
-        fast = (p < 2.0**52) & (np.abs(p - np.floor(p) - 0.5) > p * 2.0**-51)
+        fast = (p < 2.0**52) & (p - np.floor(p) != 0.5)
     n = np.rint(p, out=np.zeros_like(p), where=fast).astype(np.int64)
     whole, frac = _divmod(n, 1_000_000)
 

@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from breakline_dtm import ingest
-from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
+from breakline_dtm.asciigrid import (
+    _lf_lines,
+    format_ascii_grid,
+    read_ascii_grid,
+    write_ascii_grid,
+)
 from breakline_dtm.errors import HeaderMismatchError
-from breakline_dtm.ingest import PointCloud, write_points_xyz
+from breakline_dtm.ingest import CONTROL_LINE_ENDS, PointCloud, write_points_xyz
 from breakline_dtm.raster import GridSpec
 
 from oracles import per_cell_ascii_grid, per_cell_xyz_text, per_line_ascii_grid
@@ -255,6 +260,19 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data):
     assert (back_grid.origin_x, back_grid.origin_y, back_grid.cell,
             back_grid.ncols, back_grid.nrows) == geometry
     assert back.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text", [b"", b"1 2", b"1 2\n3 4\n", b"1 2\r\n3 4\r\n", b"\r\n\r\n"])
+def test_lf_lines_returns_lf_and_crlf_text_itself(text):
+    assert _lf_lines(text) is text
+
+
+@pytest.mark.parametrize("eol", [b"\r", *CONTROL_LINE_ENDS])
+def test_lf_lines_rewrites_lone_cr_and_control_line_ends(eol):
+    assert _lf_lines(b"1 2" + eol + b"3 4" + eol) == b"1 2\n3 4\n"
+    # one odd line end rewrites the CRLFs of the same text too
+    assert _lf_lines(b"1 2\r\n3 4" + eol + b"5 6\r\n") == b"1 2\n3 4\n5 6\n"
+    assert _lf_lines(b"1 2\r\r\n" + eol) == b"1 2\n\n\n"
 
 
 def test_reader_skips_blank_lines_like_oracle(tmp_path):

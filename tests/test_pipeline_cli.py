@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
+from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
 from breakline_dtm.errors import EmptyInputError
 from breakline_dtm.groundfilter import FilterParams
@@ -448,6 +448,42 @@ def test_cli_compare_with_mask(tmp_path):
     assert code == 0
     row = out.read_text().strip().splitlines()[1].split(",")
     assert row[2] == "32" and row[3] == "3.000000"
+
+
+def test_cli_compare_mask_excludes_every_nonzero_but_nodata(tmp_path, capsys):
+    # NODATA reads as NaN and is compared like 0; inf, -inf and any other
+    # non-zero value exclude the cell
+    rng = np.random.default_rng(5)
+    grid = GridSpec(0, 0, 1.0, 9, 7)
+    a = rng.normal(10.0, 2.0, grid.shape)
+    b = rng.normal(10.0, 2.0, grid.shape)
+    a[rng.random(grid.shape) < 0.1] = np.nan
+    tokens = np.array(["-9999", "inf", "-inf", "0.5", "0", "-0.0", "1", "-3"])
+    mask = tokens[rng.integers(0, tokens.size, grid.shape)]
+    write_ascii_grid(a, grid, tmp_path / "a.asc")
+    write_ascii_grid(b, grid, tmp_path / "b.asc")
+    header = format_ascii_grid(np.zeros(grid.shape), grid).split("\n")[:6]
+    rows = [" ".join(row) for row in mask[::-1]]  # the file holds the top row first
+    (tmp_path / "m.asc").write_text("\n".join(header + rows) + "\n")
+    out = tmp_path / "t.csv"
+    argv = ["compare", tmp_path / "a.asc", tmp_path / "b.asc", "--mask", tmp_path / "m.asc"]
+    assert run_cli([*argv, "--tile-px", "4", "--out", out]) == 0
+
+    a, _ = read_ascii_grid(tmp_path / "a.asc")
+    b, _ = read_ascii_grid(tmp_path / "b.asc")
+    diff = a - b
+    valid = np.isfinite(diff) & np.isin(mask, ["-9999", "0", "-0.0"])
+    assert f"valid px {int(valid.sum())}" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 6
+    for tr, tc, n, mae, rmse, _rank in rows:
+        rs = slice(int(tr) * 4, int(tr) * 4 + 4)
+        cs = slice(int(tc) * 4, int(tc) * 4 + 4)
+        d = diff[rs, cs][valid[rs, cs]]
+        assert int(n) == d.size
+        if d.size:
+            assert mae == f"{np.abs(d).mean():.6f}"
+            assert rmse == f"{np.sqrt((d * d).mean()):.6f}"
 
 
 def test_cli_dtm_crop(tmp_path):
