@@ -113,25 +113,37 @@ def _region_boundary_corners(seg: Segmentation) -> list[np.ndarray]:
 
     Only the leftmost and rightmost pixel of each (region, row) pair can
     contribute hull vertices, so their corners are enough for an exact
-    minimum-rectangle computation.
+    minimum-rectangle computation.  They are found from the horizontal
+    runs of equal labels, not from every labelled pixel.
     """
-    flat = seg.label.ravel()
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
+    nrows, ncols = seg.grid.shape
+    # a run starts where a row starts or its label changes; column ncols
+    # ends every row
+    edge = np.ones((nrows, ncols + 1), dtype=bool)
+    np.not_equal(seg.label[:, 1:], seg.label[:, :-1], out=edge[:, 1:-1])
+    bounds = np.flatnonzero(edge)
+    del edge
+    rows, first = np.divmod(bounds[:-1], ncols + 1)
+    last = bounds[1:] % (ncols + 1) - 1
+    runs = first < ncols  # not the pair from one row's end to the next row's start
+    rows, first, last = rows[runs], first[runs], last[runs]
+    labels = seg.label[rows, first]
+    runs = labels != 0
+    if not runs.any():
         return []
-    # nz is row-major, so a stable sort by label orders by (label, row, col)
-    nz = nz[np.argsort(flat[nz], kind="stable")]
-    labels = flat[nz]
-    rows, cols = np.divmod(nz, seg.grid.ncols)
-    group = labels.astype(np.int64) * seg.grid.nrows + rows
+    # runs are row-major, so a stable sort by label orders by (label, row, col)
+    order = np.flatnonzero(runs)[np.argsort(labels[runs], kind="stable")]
+    labels, rows, first, last = labels[order], rows[order], first[order], last[order]
+    group = labels.astype(np.int64) * nrows + rows
     starts = np.flatnonzero(np.diff(group, prepend=group[0] - 1))
     ends = np.append(starts[1:], group.size) - 1
 
-    left, right, r = cols[starts], cols[ends], rows[starts]
     # per group: the four corners of its leftmost, then of its rightmost pixel
-    x = np.column_stack([left, left + 1, left, left + 1, right, right + 1, right, right + 1])
-    y = np.column_stack([r, r, r + 1, r + 1] * 2)
-    corners = np.stack([x, y], axis=-1).reshape(-1, 2).astype(np.float64)
+    corners = np.empty((starts.size, 8, 2))
+    corners[:, :4, 0] = first[starts, None] + [0, 1, 0, 1]
+    corners[:, 4:, 0] = last[ends, None] + [0, 1, 0, 1]
+    corners[:, :, 1] = rows[starts, None] + [0, 0, 1, 1, 0, 0, 1, 1]
+    corners = corners.reshape(-1, 2)
     groups_per_region = np.bincount(labels[starts], minlength=seg.region_count + 1)[1:]
     return np.split(corners, 8 * np.cumsum(groups_per_region)[:-1])
 

@@ -205,8 +205,7 @@ def _read_las(data: bytes, strict: bool) -> PointCloud:
         if count64:
             count = count64
 
-    body = data[point_offset:]
-    available = len(body) // rec_len
+    available = (len(data) - point_offset) // rec_len
     skipped = 0
     if count > available:
         if strict:
@@ -219,9 +218,13 @@ def _read_las(data: bytes, strict: bool) -> PointCloud:
     if count == 0:
         raise EmptyInputError("LAS file contains no point records")
 
-    raw = np.frombuffer(body, dtype=np.uint8, count=count * rec_len)
-    ixyz = raw.reshape(count, rec_len)[:, :12].copy().view("<i4").astype(np.float64)
-    xyz = ixyz * np.asarray(scales) + np.asarray(offsets)
+    # the x/y/z int32 prefix of every record, read in place from the file bytes
+    ixyz = np.ndarray(
+        (count, 3), "<i4", buffer=memoryview(data), offset=point_offset, strides=(rec_len, 4)
+    )
+    xyz = ixyz.astype(np.float64)
+    xyz *= scales  # the IEEE operations of ixyz * scales + offsets, in place
+    xyz += offsets
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
         raise EmptyInputError("LAS file contains no finite points")
@@ -303,11 +306,15 @@ def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return q, a - q * b
 
 
-def _token_matrix(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
+def _token_matrix(
+    x: np.ndarray, nonfinite: bytes | None
+) -> tuple[np.ndarray, dict[int, bytes]]:
     """The ``"%.6f"`` tokens of a 1-D float64 array as a byte matrix.
 
     Row i holds the token of ``x[i]`` right-aligned after NUL bytes; the
-    last column is left for a separator.  A cell's digits are those of
+    last column is left for a separator.  The matrix is as wide as the
+    longest fast-path token needs; a longer token leaves its row empty
+    and is returned by row index instead.  A cell's digits are those of
     ``n = rint(|x| * 1e6)``.  Below ``2**52`` every half-integer is a
     float64, and rounding the exact ``|x| * 10**6`` to the product is
     monotone, so the product never crosses a half-integer: it rounds to
@@ -331,7 +338,7 @@ def _token_matrix(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
 
     # sign, 4-digit groups of the integer part, ".", 6 decimals, separator
     groups = (len(str(int(whole.max()))) + 3) // 4
-    width = max(4 * groups + 9, int(lengths.max(initial=0)) + 1)
+    width = 4 * groups + 9
     dot = width - 8
     m = np.empty((x.size, width), np.uint8)
     m[:, : dot - 4 * groups] = 0
@@ -351,29 +358,47 @@ def _token_matrix(x: np.ndarray, nonfinite: bytes | None) -> np.ndarray:
     m[neg, dot - 1 - ndigits] = ord("-")
 
     m[slow, : width - 1] = 0
-    for size in np.unique(lengths).tolist():
+    fits = lengths < width
+    for size in np.unique(lengths[fits]).tolist():
         picked = b"".join(tok for tok in tokens if len(tok) == size)
         m[slow[lengths == size], width - 1 - size : width - 1] = np.frombuffer(
             picked, np.uint8
         ).reshape(-1, size)
-    return m
+    wide = {row: tok for row, tok in zip(slow.tolist(), tokens) if len(tok) >= width}
+    return m, wide
 
 
-def _joined(m: np.ndarray, ncols: int) -> bytes:
-    """Rows of ``ncols`` tokens of a token matrix, space separated and newline ended."""
+def _joined(m: np.ndarray, ncols: int, wide: dict[int, bytes]) -> bytes:
+    """Rows of ``ncols`` tokens of a token matrix, space separated and newline ended.
+
+    ``wide`` holds the tokens, by row, too long for the matrix; each goes
+    in front of its row's separator.
+    """
     m[:, -1] = ord(" ")
     m[ncols - 1 :: ncols, -1] = ord("\n")
     keep = m != 0
     kept = int(np.count_nonzero(keep))
     first = m.shape[1] - kept // m.shape[0]
     if kept % m.shape[0] == 0 and keep[:, first:].all():
-        return m[:, first:].tobytes()  # every token has the same width
-    return m[keep].tobytes()
+        text = m[:, first:].tobytes()  # every token has the same width
+    else:
+        text = m[keep].tobytes()
+    if not wide:
+        return text
+    # a wide row keeps only its separator, the last of the row's kept bytes
+    seps = np.cumsum(np.count_nonzero(keep, axis=1))[list(wide)] - 1
+    view = memoryview(text)
+    pieces, at = [], 0
+    for sep, tok in zip(seps.tolist(), wide.values()):
+        pieces += (view[at:sep], tok)
+        at = sep
+    pieces.append(view[at:])
+    return b"".join(pieces)
 
 
 def _token_table(x: np.ndarray) -> np.ndarray:
     """``_token_matrix`` of finite values without the columns that are NUL in every row."""
-    m = _token_matrix(x, None)
+    m, _ = _token_matrix(x, None)
     first = int((m[:, :-1] != 0).any(axis=0).argmax())
     return np.ascontiguousarray(m[:, first:])
 
@@ -407,10 +432,10 @@ def format_6f_blocks(values: np.ndarray, nonfinite: bytes | None = None) -> Iter
     for first in range(0, nrows, step):
         block = values[first : first + step].ravel()
         if is_bool:
-            m = _gather_rows(table, block.view(np.uint8))
+            m, wide = _gather_rows(table, block.view(np.uint8)), {}
         else:
-            m = _token_matrix(block, nonfinite)
-        yield _joined(m, ncols)
+            m, wide = _token_matrix(block, nonfinite)
+        yield _joined(m, ncols, wide)
 
 
 def write_blocks(path, blocks: Iterator[bytes]) -> None:

@@ -92,8 +92,12 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
     if dsm.grid != ground.grid:
         raise ValueError("DSM and ground mask grids differ")
     is_ground = ground.is_ground
-    grd_cells = np.argwhere(is_ground)
-    if len(grd_cells) < 3 or _is_collinear(grd_cells.astype(np.int64)):
+    # a line that is not vertical meets each column once, so more ground
+    # cells than max(nrows, ncols) cannot all lie on one line
+    n_ground = np.count_nonzero(is_ground)
+    if n_ground < 3 or (
+        n_ground <= max(is_ground.shape) and _is_collinear(np.argwhere(is_ground))
+    ):
         raise InsufficientGroundError(
             "need at least 3 non-collinear ground pixels to interpolate"
         )

@@ -142,6 +142,12 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     bbox = timer.run("bounds", lambda: bounds(pc))
     grid = make_grid_spec(bbox, cfg.cell)
     sparse = timer.run("rasterize", lambda: rasterize_min(pc, grid, cfg.workers))
+    points = {
+        "points": pc.count,
+        "dropped_nonfinite": pc.dropped_nonfinite,
+        "skipped_records": pc.skipped_records,
+    }
+    del pc  # binned: the points read here are freed; a caller's cloud stays the caller's
     dsm = timer.run("fill_voids", lambda: fill_voids_nearest(sparse))
     slp = timer.run("slope", lambda: slope_map(dsm))
     breaks = timer.run(
@@ -169,12 +175,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     nonvoid = int((sparse.occupancy > 0).sum())
     report = {
         "parameters": cfg.parameter_echo(),
-        "input": {
-            "points": pc.count,
-            "dropped_nonfinite": pc.dropped_nonfinite,
-            "skipped_records": pc.skipped_records,
-            "out_of_bounds": sparse.oob_dropped,
-        },
+        "input": {**points, "out_of_bounds": sparse.oob_dropped},
         "grid": asdict(grid),
         "density": {
             "nonvoid_cells": nonvoid,

@@ -62,9 +62,9 @@ class GridSpec:
 class SparseDsm:
     """Min-z surface before void filling: NaN marks void cells.
 
-    ``occupancy[r, c]`` is the number of points binned into the cell, so
-    ``np.isnan(elev) == (occupancy == 0)``.  ``oob_dropped`` counts points
-    that fell outside the grid.
+    ``occupancy[r, c]`` is the int32 number of points binned into the
+    cell, so ``np.isnan(elev) == (occupancy == 0)``.  ``oob_dropped``
+    counts points that fell outside the grid.
     """
 
     grid: GridSpec
@@ -111,30 +111,38 @@ def _bin_min_count(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     nrows, ncols = grid.shape
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    cx = (x - grid.origin_x) / grid.cell
-    cy = (y - grid.origin_y) / grid.cell
+    cx = x - grid.origin_x
+    cx /= grid.cell
+    cy = y - grid.origin_y
+    cy /= grid.cell
+    inside = x >= grid.origin_x
+    inside &= y >= grid.origin_y
     # make_grid_spec lets a grid end up to 1e-9 cell short of its bbox, so
     # points in that sliver past the max edge are inside, like those on it
-    inside = (
-        (x >= grid.origin_x)
-        & ((x <= grid.max_x) | (cx - 1e-9 <= ncols))
-        & (y >= grid.origin_y)
-        & ((y <= grid.max_y) | (cy - 1e-9 <= nrows))
-    )
-    dropped = int(xyz.shape[0] - inside.sum())
+    for v, c, vmax, n in ((x, cx, grid.max_x, ncols), (y, cy, grid.max_y, nrows)):
+        past = np.flatnonzero(~(v <= vmax))
+        inside[past] &= c[past] - 1e-9 <= n
+    dropped = int(xyz.shape[0] - np.count_nonzero(inside))
+    if dropped:
+        cx, cy, z = cx[inside], cy[inside], z[inside]
+    del inside
 
-    col = np.floor(cx[inside]).astype(np.int64)
-    row = np.floor(cy[inside]).astype(np.int64)
-    z = z[inside]
-    # points on the max edge or in the sliver belong to the last row/column
-    np.minimum(col, ncols - 1, out=col)
-    np.minimum(row, nrows - 1, out=row)
-
-    flat = row * ncols + col
+    # flat = row * ncols + col in float64, exact below 2**53; points on
+    # the max edge or in the sliver belong to the last row/column
+    np.floor(cx, out=cx)
+    np.minimum(cx, ncols - 1, out=cx)
+    np.floor(cy, out=cy)
+    np.minimum(cy, nrows - 1, out=cy)
+    cy *= ncols
+    cy += cx
+    del cx
+    flat = cy.astype(np.int64)
+    del cy
     elev = np.full(nrows * ncols, np.inf)
-    occ = np.zeros(nrows * ncols, dtype=np.int64)
+    occ = np.zeros(nrows * ncols, dtype=np.int32)
     np.minimum.at(elev, flat, z)
-    np.add.at(occ, flat, 1)
+    # an int32 one: with a Python int, add.at casts and takes its slow loop (20x)
+    np.add.at(occ, flat, np.int32(1))
     return elev, occ, dropped
 
 

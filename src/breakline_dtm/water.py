@@ -80,27 +80,30 @@ def water_threshold(occupancy: np.ndarray, wp: WaterParams) -> int:
 def window_sums(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Edge-truncated centered window sums and visible-pixel counts.
 
-    Uses an integral image, so sums are exact for integer input.
+    Uses an integral image of ``arr`` padded with ``window // 2`` zeros on
+    every side, so every window is a plain slice of it and sums are exact
+    for integer input.
     """
     half = window // 2
     nrows, ncols = arr.shape
-    sat = np.zeros((nrows + 1, ncols + 1), dtype=np.int64)
-    sat[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0, dtype=np.int64), axis=1)
+    sat = np.zeros((nrows + window, ncols + window), dtype=np.int64)
+    core = sat[half + 1 : half + 1 + nrows, half + 1 : half + 1 + ncols]
+    np.cumsum(arr, axis=0, dtype=np.int64, out=core)
+    np.cumsum(core, axis=1, out=core)
+    # the zero padding past the last row and column adds nothing to the sums
+    sat[half + 1 + nrows :, half + 1 : half + 1 + ncols] = core[-1]
+    sat[:, half + 1 + ncols :] = sat[:, half + ncols : half + ncols + 1]
 
+    sums = sat[window:, window:] - sat[:-window, window:]
+    sums -= sat[window:, :-window]
+    sums += sat[:-window, :-window]
+    del sat, core
     r = np.arange(nrows)
     c = np.arange(ncols)
-    r0 = np.clip(r - half, 0, nrows)
-    r1 = np.clip(r + half + 1, 0, nrows)
-    c0 = np.clip(c - half, 0, ncols)
-    c1 = np.clip(c + half + 1, 0, ncols)
-
-    sums = (
-        sat[np.ix_(r1, c1)]
-        - sat[np.ix_(r0, c1)]
-        - sat[np.ix_(r1, c0)]
-        + sat[np.ix_(r0, c0)]
+    visible = np.outer(
+        np.minimum(r + half + 1, nrows) - np.maximum(r - half, 0),
+        np.minimum(c + half + 1, ncols) - np.maximum(c - half, 0),
     )
-    visible = np.outer(r1 - r0, c1 - c0)
     return sums, visible
 
 
@@ -115,11 +118,11 @@ def water_mask(occupancy: np.ndarray, threshold: int, window: int) -> np.ndarray
         raise ParameterError(f"window must be odd and >= 3, got {window}")
     if threshold <= 0:
         return np.zeros(occupancy.shape, dtype=bool)
-    sums, visible = window_sums(occupancy.astype(np.int64), window)
-    n = window * window
-    t_eff = np.where(
-        visible == n, threshold, -(-threshold * visible // n)  # ceil division
-    )
+    sums, t_eff = window_sums(occupancy, window)
+    # ceil(threshold * visible / n) in place; a full window keeps threshold
+    t_eff *= -threshold
+    t_eff //= window * window
+    np.negative(t_eff, out=t_eff)
     return sums < t_eff
 
 

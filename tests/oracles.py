@@ -231,6 +231,14 @@ def row_extreme_corners(label, region_count):
     return [np.asarray(b, dtype=np.float64) for b in buckets]
 
 
+def las_xyz_by_copy(data, point_offset, rec_len, count, scales, offsets):
+    """x/y/z of ``count`` LAS records: copy the body, then each record's 12-byte prefix."""
+    body = data[point_offset:]
+    raw = np.frombuffer(body, dtype=np.uint8, count=count * rec_len)
+    ixyz = raw.reshape(count, rec_len)[:, :12].copy().view("<i4").astype(np.float64)
+    return ixyz * np.asarray(scales) + np.asarray(offsets)
+
+
 def sweep_min_rect_area(points, step_deg=0.05, refine=True):
     """Minimum-area enclosing rectangle by exhaustive rotation sweep.
 

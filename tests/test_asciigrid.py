@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,30 @@ def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell, chunk_cells):
     with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
         text = format_ascii_grid(values, grid)
     assert text == per_cell_ascii_grid(values, grid)
+
+
+def test_long_slow_tokens_keep_the_byte_matrix_narrow():
+    # one 1e300 ("1000...000.000000", 308 bytes) in every 109-row block
+    # used to widen that block's whole byte matrix to 309 columns
+    rng = np.random.default_rng(31)
+    grid = GridSpec(0, 0, 0.5, 600, 600)
+    plain = rng.normal(100.0, 20.0, grid.shape)
+    long = plain.copy()
+    long[::109, 7] = 1e300
+    long[3, 3:6] = [-4.5e15, 2.0**60, np.nan]
+
+    def peak(values):
+        tracemalloc.start()
+        try:
+            text = format_ascii_grid(values, grid)
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    plain_peak, _ = peak(plain)
+    long_peak, text = peak(long)
+    assert long_peak <= 1.5 * plain_peak
+    assert text == per_cell_ascii_grid(long, grid)
 
 
 @settings(max_examples=200, deadline=None)

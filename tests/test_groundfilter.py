@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from breakline_dtm.errors import ParameterError
 from breakline_dtm.groundfilter import (
     FilterParams,
     RegionStats,
     Segmentation,
+    _region_boundary_corners,
     classify_regions,
     label_4connected,
     label_regions,
@@ -243,6 +245,32 @@ def test_region_stats_equals_row_corner_oracle(nrows, ncols, labels, seed):
     mbr = [calipers_min_rect_area(c) * cell * cell for c in row_extreme_corners(lab, present.size)]
     assert stats.mbr_area_m2.tobytes() == np.array(mbr, dtype=np.float64).tobytes()
     assert stats.pixel_count.tolist() == [int((lab == i).sum()) for i in range(1, present.size + 1)]
+
+
+@st.composite
+def label_rasters(draw):
+    """Labels 1..k, each present, with zeros; a label may recur along a row."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    k = draw(st.integers(0, 5))
+    raw = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, k)))
+    present = np.unique(raw[raw > 0])
+    return (np.searchsorted(present, raw) + (raw > 0)).astype(np.int32), present.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rasters())
+@example((np.zeros((3, 4), dtype=np.int32), 0))
+@example((np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=np.int32), 1))
+@example((np.array([[1, 0, 1, 2, 1], [2, 2, 0, 1, 1]], dtype=np.int32), 2))
+@example((np.array([[1], [0], [2], [1]], dtype=np.int32), 2))
+def test_region_boundary_corners_equal_row_corner_oracle(raster):
+    lab, n = raster
+    seg = Segmentation(GridSpec(0, 0, 0.5, lab.shape[1], lab.shape[0]), lab, n)
+    got = _region_boundary_corners(seg)
+    expected = row_extreme_corners(lab, n)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 def make_stats(area_m2, rect, cell=0.5):

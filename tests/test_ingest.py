@@ -22,11 +22,16 @@ from breakline_dtm.ingest import (
     read_points,
     write_points_xyz,
 )
+from oracles import las_xyz_by_copy
 
 
 def make_las(points, scale=(0.01, 0.01, 0.01), offset=(0.0, 0.0, 0.0),
-             version=(1, 2), fmt=0, declared_count=None, extra_record_bytes=8):
-    """Hand-assembled LAS file, point records as raw int32 XYZ plus padding."""
+             version=(1, 2), fmt=0, declared_count=None, extra_record_bytes=8, gap=0):
+    """Hand-assembled LAS file, point records as raw int32 XYZ plus padding.
+
+    ``gap`` bytes (as variable-length records would be) sit between the
+    header and the first point record.
+    """
     rec_len = 12 + extra_record_bytes
     header_size = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}[version[1]]
     header = bytearray(header_size)
@@ -34,20 +39,22 @@ def make_las(points, scale=(0.01, 0.01, 0.01), offset=(0.0, 0.0, 0.0),
     header[24] = version[0]
     header[25] = version[1]
     struct.pack_into("<H", header, 94, header_size)
-    struct.pack_into("<I", header, 96, header_size)
+    struct.pack_into("<I", header, 96, header_size + gap)
     header[104] = fmt
     struct.pack_into("<H", header, 105, rec_len)
-    n = len(points) if declared_count is None else declared_count
+    ixyz = np.asarray(points, dtype="<i4").reshape(-1, 3)
+    n = len(ixyz) if declared_count is None else declared_count
     if version[1] >= 4:
         struct.pack_into("<Q", header, 247, n)
     else:
         struct.pack_into("<I", header, 107, n)
     struct.pack_into("<3d", header, 131, *scale)
     struct.pack_into("<3d", header, 155, *offset)
-    body = bytearray()
-    for ix, iy, iz in points:
-        body += struct.pack("<3i", ix, iy, iz) + b"\x00" * extra_record_bytes
-    return bytes(header) + bytes(body)
+    body = np.zeros((len(ixyz), rec_len), dtype=np.uint8)
+    body[:, :12] = ixyz.view(np.uint8).reshape(-1, 12)
+    return bytes(header) + bytes(gap) + body.tobytes()
+
+
 
 
 def test_text_mixed_separators():
@@ -100,6 +107,20 @@ def test_las_scale_offset_decoding():
     data = make_las([(250, 300, 400)], scale=(0.01, 0.01, 0.01), offset=(100, 200, 300))
     pc = read_points(data)
     assert pc.xyz[0] == pytest.approx([102.5, 203.0, 304.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0, 2, 5])  # point data at byte 227, 229, 232
+@pytest.mark.parametrize("rec_len", [13, 21, 35])
+def test_las_decode_equals_copy_oracle_at_odd_offsets(gap, rec_len):
+    rng = np.random.default_rng(100 * rec_len + gap)
+    ixyz = rng.integers(-(2**31), 2**31, size=(257, 3))
+    ixyz[:2] = [[-(2**31)] * 3, [2**31 - 1] * 3]
+    scale, offset = (0.001, 0.01, 1e-7), (4.5e5, -1234.5678, 0.1)
+    data = make_las(ixyz, scale, offset, extra_record_bytes=rec_len - 12, gap=gap)
+    expected = las_xyz_by_copy(data, 227 + gap, rec_len, len(ixyz), scale, offset)
+    assert read_points(data).xyz.tobytes() == expected.tobytes()
+    # a partial record at the end is not read
+    assert read_points(data + b"\x7f" * (rec_len - 1)).xyz.tobytes() == expected.tobytes()
 
 
 def test_las_auto_detection_and_explicit():

@@ -108,6 +108,39 @@ def test_insufficient_ground_raises():
         interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
 
 
+def _line_cells(shape, line):
+    ground = np.zeros(shape, bool)
+    if line == "row":
+        ground[shape[0] // 2, :] = True
+    elif line == "column":
+        ground[:, shape[1] // 2] = True
+    else:
+        np.fill_diagonal(ground, True)
+    return ground
+
+
+@pytest.mark.parametrize(
+    "shape, line, off_line",
+    [
+        ((5, 8), "row", (0, 0)),
+        ((8, 5), "column", (0, 0)),
+        ((7, 7), "diagonal", (0, 1)),
+        ((1, 9), "row", None),  # every cell of the grid is on the line
+    ],
+)
+def test_ground_on_one_line_of_max_side_cells_raises(shape, line, off_line):
+    # the most cells one line can hold, max(nrows, ncols), still get the exact test
+    grid = GridSpec(0, 0, 1, shape[1], shape[0])
+    ground = _line_cells(shape, line)
+    assert ground.sum() == max(shape)
+    with pytest.raises(InsufficientGroundError):
+        interpolate_nonground(Dsm(grid, np.zeros(shape)), GroundMask(grid, ground))
+    if off_line is not None:
+        ground[off_line] = True
+        dtm = interpolate_nonground(Dsm(grid, np.ones(shape)), GroundMask(grid, ground))
+        assert np.array_equal(dtm.elev, np.ones(shape))
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(10)
     grid = GridSpec(0, 0, 1, 30, 30)

@@ -1,0 +1,91 @@
+"""Transient memory of the pipeline's heaviest stages on a 600x600 grid.
+
+Each bound is the traced peak a stage may allocate above what was
+allocated when it was entered (its result included), at least 1.5x
+what it takes.  A bound catches a full-size temporary that comes back:
+a copy of the input, a sort of every labelled pixel or an index array
+of every ground cell.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
+from breakline_dtm.ingest import _read_las
+from breakline_dtm.interp import interpolate_nonground
+from breakline_dtm.raster import Dsm, GridSpec, _bin_min_count
+from breakline_dtm.water import water_mask
+from test_ingest import make_las
+
+GRID = GridSpec(0.0, 0.0, 0.5, 600, 600)
+POINTS = 1_440_000  # 4 points per square metre
+# at numpy 2.4.6 / scipy 1.17.1 these stages take 38.5, 26.1, 9.2, 3.2
+# and 5.8 MB; before they were rewritten to work in place, 126.4, 72.8,
+# 19.5, 16.7 and 11.3 MB
+BOUNDS_MB = {
+    "read_las": 60.0,
+    "bin_min_count": 40.0,
+    "interpolate_nonground": 14.0,
+    "region_stats": 5.0,
+    "water_mask": 9.0,
+}
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak traced memory while ``fn(*args)`` runs, above that at its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - entry) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _blocks():
+    """Ground with the stamped border ring and 100 building holes; 4 px breaks between blocks."""
+    ground = np.ones(GRID.shape, dtype=bool)
+    ground[[0, -1], :] = ground[:, [0, -1]] = False
+    for r in range(20, 600, 60):
+        for c in range(20, 600, 60):
+            ground[r : r + 18, c : c + 24] = False
+    breaks = np.zeros(GRID.shape, dtype=bool)
+    breaks[::30, :] = breaks[:, ::30] = True
+    return ground, breaks
+
+
+def _points(rng):
+    return np.column_stack(
+        [rng.uniform(0, 300, POINTS), rng.uniform(0, 300, POINTS), rng.normal(50, 2, POINTS)]
+    )
+
+
+def _case(name):
+    rng = np.random.default_rng(7)
+    if name == "read_las":
+        ixyz = rng.integers(0, 300_000, size=(POINTS, 3))
+        return _read_las, make_las(ixyz, scale=(0.001,) * 3), False
+    if name == "bin_min_count":
+        return _bin_min_count, _points(rng), GRID
+    ground, breaks = _blocks()
+    if name == "interpolate_nonground":
+        gx, gy = np.meshgrid(GRID.x_centers(), GRID.y_centers())
+        dsm = Dsm(GRID, 50.0 + 0.01 * gx - 0.02 * gy)
+        return interpolate_nonground, dsm, GroundMask(GRID, ground)
+    if name == "region_stats":
+        lab, n = label_4connected(~breaks)
+        return region_stats, Segmentation(GRID, lab, n)
+    occupancy = rng.poisson(4.0, GRID.shape).astype(np.int32)
+    occupancy[100:200, 300:450] = rng.poisson(0.1, (100, 150))
+    return water_mask, occupancy, 30, 9
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_MB))
+def test_stage_transient_memory_is_bounded(name):
+    fn, *args = _case(name)
+    if name in ("interpolate_nonground", "region_stats"):
+        fn(*args)  # loads scipy's lazily imported modules outside the trace
+    peak = traced_peak_mb(fn, *args)
+    assert peak <= BOUNDS_MB[name], f"{name} allocated {peak:.1f} MB"

@@ -1,17 +1,19 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from breakline_dtm import pipeline
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
 from breakline_dtm.errors import EmptyInputError
 from breakline_dtm.groundfilter import FilterParams
-from breakline_dtm.ingest import BBox, write_points_xyz
+from breakline_dtm.ingest import BBox, PointCloud, write_points_xyz
 from breakline_dtm.interp import SOURCE_INTERPOLATED
 from breakline_dtm.pipeline import PipelineConfig, run_pipeline
-from breakline_dtm.raster import GridSpec
+from breakline_dtm.raster import GridSpec, fill_voids_nearest
 from breakline_dtm.scene import (
     Building,
     Plane,
@@ -74,6 +76,24 @@ def test_pipeline_report_echoes_defaults(scene_result):
 
 def test_pipeline_loads_scipy_in_its_first_stage(scene_result):
     assert next(iter(scene_result.report["timings_s"])) == "scipy_import"
+
+
+def test_pipeline_releases_the_points_it_read_after_binning(monkeypatch, scene_points):
+    refs = []
+
+    def read_points(source, strict):
+        pc = PointCloud(scene_points.xyz.copy())
+        refs.append(weakref.ref(pc))
+        return pc
+
+    def fill_voids(sparse):
+        assert refs[0]() is None, "the points outlive the rasterize stage"
+        return fill_voids_nearest(sparse)
+
+    monkeypatch.setattr(pipeline, "read_points", read_points)
+    monkeypatch.setattr(pipeline, "fill_voids_nearest", fill_voids)
+    res = run_pipeline("points.xyz")  # never opened: read_points is replaced
+    assert res.report["input"]["points"] == scene_points.count
 
 
 def test_pipeline_empty_input_flagged_with_stage():

@@ -76,6 +76,7 @@ def test_rasterize_min_takes_lowest_point():
     assert sp.occupancy[0, 0] == 2
     assert np.isnan(sp.elev[1, 1])
     assert sp.occupancy[1, 1] == 0
+    assert sp.occupancy.dtype == np.int32
 
 
 def test_rasterize_max_edge_points_clamped():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from breakline_dtm.errors import ParameterError
 from breakline_dtm.interp import SOURCE_INTERPOLATED, SOURCE_WATER, DtmRaster
@@ -51,6 +52,25 @@ def test_window_sums_match_slicing_oracle():
         o_sums, o_vis = brute_window_sums(arr, window)
         assert np.array_equal(sums, o_sums)
         assert np.array_equal(vis, o_vis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(
+        np.int32, st.tuples(st.integers(1, 14), st.integers(1, 14)), elements=st.integers(0, 9)
+    ),
+    st.sampled_from([3, 5, 9, 15]),
+    st.integers(0, 90),
+)
+def test_window_sums_and_mask_match_slicing_oracle_on_any_shape(occ, window, threshold):
+    # windows wider than the raster, single rows and columns, int32 counts
+    sums, vis = window_sums(occ, window)
+    o_sums, o_vis = brute_window_sums(occ, window)
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums, o_sums) and np.array_equal(vis, o_vis)
+    n = window * window
+    t_eff = np.where(o_vis == n, threshold, -(-threshold * o_vis // n))
+    assert np.array_equal(water_mask(occ, threshold, window), o_sums < t_eff)
 
 
 def test_water_mask_dense_field_no_water():
