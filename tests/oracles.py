@@ -300,6 +300,40 @@ def nearest_rank_sorted(values, q):
     return ordered[k - 1]
 
 
+def scan_water_segments(mask, occupied, elev, min_segment_px, q):
+    """Water segments the slow way: BFS labels and one scan of the raster per segment.
+
+    Returns the label raster, renumbered 1..n over the segments of at
+    least ``min_segment_px`` pixels, and per segment its ascending flat
+    pixels and elevation: the nearest-rank ``q`` percentile of its
+    occupied cells, else the elevation of the occupied cell nearest to
+    any of its pixels (the first such pixel in row-major order, the
+    smallest donor on ties), else NaN.
+    """
+    lab, n = bfs_label_4connected(mask)
+    flat = lab.ravel()
+    kept = [i for i in range(1, n + 1) if np.count_nonzero(flat == i) >= min_segment_px]
+    out = np.zeros_like(lab)
+    segments = []
+    for seg_id, old_id in enumerate(kept, start=1):
+        pixels = np.flatnonzero(flat == old_id)
+        out.flat[pixels] = seg_id
+        occ = [p for p in pixels if occupied.flat[p]]
+        elevation = float("nan")
+        if occ:
+            elevation = nearest_rank_sorted(elev.flat[occ], q)
+        elif occupied.any():
+            ncols = mask.shape[1]
+            best = None
+            for p, d in zip(pixels, brute_nearest_donor(occupied, pixels)):
+                d2 = (p // ncols - d // ncols) ** 2 + (p % ncols - d % ncols) ** 2
+                if best is None or d2 < best[0]:
+                    best = (d2, d)
+            elevation = float(elev.flat[best[1]])
+        segments.append((pixels, elevation))
+    return out, segments
+
+
 def point_in_polygon(px, py, poly):
     """Scalar even-odd crossing test."""
     inside = False

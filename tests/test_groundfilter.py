@@ -266,7 +266,9 @@ def label_rasters(draw):
 def test_region_boundary_corners_equal_row_corner_oracle(raster):
     lab, n = raster
     seg = Segmentation(GridSpec(0, 0, 0.5, lab.shape[1], lab.shape[0]), lab, n)
-    got = _region_boundary_corners(seg)
+    counts, got = _region_boundary_corners(seg)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == np.bincount(lab.ravel(), minlength=n + 1)[1:].tolist()
     expected = row_extreme_corners(lab, n)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):

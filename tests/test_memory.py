@@ -15,7 +15,7 @@ import pytest
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
 from breakline_dtm.ingest import _read_las
 from breakline_dtm.interp import interpolate_nonground
-from breakline_dtm.raster import Dsm, GridSpec, _bin_min_count
+from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
 from breakline_dtm.water import water_mask
 from test_ingest import make_las
 
@@ -23,12 +23,16 @@ GRID = GridSpec(0.0, 0.0, 0.5, 600, 600)
 POINTS = 1_440_000  # 4 points per square metre
 # at numpy 2.4.6 / scipy 1.17.1 these stages take 38.5, 26.1, 9.2, 3.2
 # and 5.8 MB; before they were rewritten to work in place, 126.4, 72.8,
-# 19.5, 16.7 and 11.3 MB
+# 19.5, 16.7 and 11.3 MB.  With nearest donors found by distance shells,
+# interpolate_nonground takes 6.6 MB and fill_voids_nearest 12.0 MB
+# (17.7 MB with an EDT and tie-break for every void); with region corners
+# built in place, region_stats takes 2.4 MB
 BOUNDS_MB = {
     "read_las": 60.0,
     "bin_min_count": 40.0,
+    "fill_voids_nearest": 18.0,
     "interpolate_nonground": 14.0,
-    "region_stats": 5.0,
+    "region_stats": 4.0,
     "water_mask": 9.0,
 }
 
@@ -69,6 +73,14 @@ def _case(name):
         return _read_las, make_las(ixyz, scale=(0.001,) * 3), False
     if name == "bin_min_count":
         return _bin_min_count, _points(rng), GRID
+    if name == "fill_voids_nearest":
+        # 1 point per cell leaves 37 % of the cells void; a lake of no
+        # returns (radius 40 px) sends its inner voids to the EDT
+        occupancy = rng.poisson(1.0, GRID.shape).astype(np.int32)
+        r, c = np.ogrid[:600, :600]
+        occupancy[(r - 400) ** 2 + (c - 200) ** 2 < 40**2] = 0
+        elev = np.where(occupancy > 0, rng.normal(50, 2, GRID.shape), np.nan)
+        return fill_voids_nearest, SparseDsm(GRID, elev, occupancy)
     ground, breaks = _blocks()
     if name == "interpolate_nonground":
         gx, gy = np.meshgrid(GRID.x_centers(), GRID.y_centers())
@@ -85,7 +97,7 @@ def _case(name):
 @pytest.mark.parametrize("name", sorted(BOUNDS_MB))
 def test_stage_transient_memory_is_bounded(name):
     fn, *args = _case(name)
-    if name in ("interpolate_nonground", "region_stats"):
+    if name in ("fill_voids_nearest", "interpolate_nonground", "region_stats"):
         fn(*args)  # loads scipy's lazily imported modules outside the trace
     peak = traced_peak_mb(fn, *args)
     assert peak <= BOUNDS_MB[name], f"{name} allocated {peak:.1f} MB"

@@ -328,6 +328,72 @@ def test_nearest_donor_indices_match_brute_force_on_targets(nrows, ncols, densit
     assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
 
 
+def _ring(nrows, ncols):
+    """Donors everywhere but a one-cell border ring; its corners are at d2 = 2."""
+    donors = np.ones((nrows, ncols), dtype=bool)
+    donors[[0, -1], :] = donors[:, [0, -1]] = False
+    return donors
+
+
+def _isolated_voids(rng, nrows, ncols):
+    """Voids at random cells of one checkerboard colour, so no two are 4-neighbours."""
+    void = rng.uniform(size=(nrows, ncols)) < 0.3
+    return ~(void & (np.indices((nrows, ncols)).sum(axis=0) % 2 == 0))
+
+
+def _disk(nrows, ncols, r0, c0, radius):
+    r, c = np.ogrid[:nrows, :ncols]
+    return (r - r0) ** 2 + (c - c0) ** 2 <= radius**2
+
+
+@st.composite
+def structured_donor_masks(draw):
+    """Isolated voids, a void border ring, or a lake that uses up the probe budget."""
+    kind = draw(st.sampled_from(["isolated", "ring", "lake"]))
+    size = st.integers(3, 40) if kind != "lake" else st.integers(30, 50)
+    nrows, ncols = draw(size), draw(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "isolated":
+        donors = _isolated_voids(rng, nrows, ncols)
+    elif kind == "ring":
+        donors = _ring(nrows, ncols)
+    else:
+        donors = rng.uniform(size=(nrows, ncols)) < 0.7
+        radius = draw(st.integers(12, 20))
+        donors &= ~_disk(nrows, ncols, rng.integers(nrows), rng.integers(ncols), radius)
+    if not donors.any():
+        donors[rng.integers(nrows), rng.integers(ncols)] = True
+    return donors
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_donor_masks())
+def test_nearest_donor_indices_match_brute_force_on_structured_masks(donors):
+    # every void, then every cell
+    targets = np.concatenate([np.flatnonzero(~donors), np.arange(donors.size)])
+    got = nearest_donor_indices(donors, targets)
+    assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+
+
+def test_edt_runs_only_for_targets_the_shell_search_leaves(monkeypatch):
+    from scipy import ndimage
+
+    real = ndimage.distance_transform_edt
+    calls = []
+    monkeypatch.setattr(
+        ndimage, "distance_transform_edt", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    ring = _ring(120, 90)
+    isolated = _isolated_voids(np.random.default_rng(3), 120, 90)
+    lake = ~_disk(80, 80, 40, 35, 30)  # 2,821 voids in 6,400 cells
+    for donors, edt_calls in ((ring, 0), (isolated, 0), (lake, 1)):
+        calls.clear()
+        targets = np.flatnonzero(~donors)
+        got = nearest_donor_indices(donors, targets)
+        assert len(calls) == edt_calls
+        assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+
+
 def test_nearest_donor_indices_no_donor_raises():
     with pytest.raises(AllVoidError):
         nearest_donor_indices(np.zeros((3, 3), dtype=bool), np.array([0, 4]))

@@ -16,7 +16,7 @@ from breakline_dtm.water import (
     water_threshold,
     window_sums,
 )
-from oracles import brute_window_sums, nearest_rank_sorted
+from oracles import brute_window_sums, nearest_rank_sorted, scan_water_segments
 
 
 def sparse_from(elev, occ, cell=1.0):
@@ -208,6 +208,31 @@ def test_min_segment_px_filters_speckles():
     assert len(wm.segments) == 1
     assert wm.segments[0].pixel_count == 9
     assert wm.is_water.sum() == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    water=st.sampled_from([0.3, 0.5, 0.7]),
+    occupied=st.sampled_from([0.0, 0.03, 0.3]),
+    min_segment_px=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_water_segments_match_per_segment_scan_oracle(shape, water, occupied, min_segment_px, seed):
+    # speckled masks: many segments, and with few occupied cells many dry ones
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=shape) < water
+    occ = (rng.uniform(size=shape) < occupied).astype(np.int64)
+    elev = np.where(occ > 0, rng.normal(50, 3, shape).round(2), np.nan)
+    wp = WaterParams(min_segment_px=min_segment_px)
+    wm = water_segments(mask, sparse_from(elev, occ), wp)
+    label, expected = scan_water_segments(mask, occ > 0, elev, min_segment_px, wp.percentile)
+    assert np.array_equal(wm.label, label)
+    assert np.array_equal(wm.is_water, label > 0)
+    assert [seg.id for seg in wm.segments] == list(range(1, len(expected) + 1))
+    for seg, (pixels, elevation) in zip(wm.segments, expected):
+        assert seg.pixels.tolist() == pixels.tolist()
+        np.testing.assert_array_equal(seg.elevation, elevation)
 
 
 def test_segment_elevation_invariant_to_pixel_order():
