@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -258,7 +259,10 @@ def _cmd_compare(args) -> int:
         mask_arr, mask_grid = read_ascii_grid(args.mask)
         if mask_grid != grid_a:
             raise InputDataError("mask grid differs from the compared rasters")
-        exclude = np.abs(mask_arr) > 0  # NaN (NODATA) is compared, +-inf excluded
+        # NaN (NODATA) is compared, +-inf excluded; the float mask goes
+        # before the comparison
+        exclude = np.abs(mask_arr, out=mask_arr) > 0
+        del mask_arr
     report = compare_tiled(arr_a, arr_b, exclude=exclude, tile_px=args.tile_px)
     write_tile_csv(report, args.out)
     if report.global_mae is None:
@@ -300,6 +304,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # scipy's OpenBLAS reads this once, when the subcommand loads scipy;
+    # with its default thread count the hole fill's many tiny LAPACK calls
+    # stall. A value the caller set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

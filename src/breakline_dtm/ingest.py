@@ -32,6 +32,8 @@ CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _NOT_BULK = (b"#", b",", *CONTROL_LINE_ENDS)
 # cells per block that format_6f_blocks turns into text at once
 _FORMAT_CHUNK_CELLS = 1 << 16
+# the tokens of False and True, each with its separator
+_BOOL_TOKENS = np.frombuffer(b"0.000000 1.000000 ", np.uint8).reshape(2, 9)
 
 # public header size of each LAS 1.x minor version
 _LAS_HEADER_SIZE = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}
@@ -396,46 +398,29 @@ def _joined(m: np.ndarray, ncols: int, wide: dict[int, bytes]) -> bytes:
     return b"".join(pieces)
 
 
-def _token_table(x: np.ndarray) -> np.ndarray:
-    """``_token_matrix`` of finite values without the columns that are NUL in every row."""
-    m, _ = _token_matrix(x, None)
-    first = int((m[:, :-1] != 0).any(axis=0).argmax())
-    return np.ascontiguousarray(m[:, first:])
-
-
-def _gather_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` for a C-contiguous uint8 table at least 8 wide, 8 bytes per take."""
-    width = table.shape[1]
-    out = np.empty((index.size, width), np.uint8)
-    for col in (*range(0, width - 8, 8), width - 8):
-        words = _column(table, col, np.uint64)
-        np.take(words, index, out=_column(out, col, np.uint64), mode="clip")
-    return out
-
-
 def format_6f_blocks(values: np.ndarray, nonfinite: bytes | None = None) -> Iterator[bytes]:
     """Yield the rows of a 2-D array as ASCII text, a block of whole rows at a time.
 
     Each cell is its float64 value in ``%.6f``; cells are space separated
     and every row ends in a newline.  A non-finite cell prints as ``nan``,
     ``inf`` or ``-inf``, or as ``nonfinite`` where that is given.  A bool
-    array gathers the tokens of 0 and 1 per cell.  Blocks hold about
-    ``_FORMAT_CHUNK_CELLS`` cells, to bound memory.
+    array takes each cell's token and separator from ``_BOOL_TOKENS``.
+    Blocks hold about ``_FORMAT_CHUNK_CELLS`` cells, to bound memory.
     """
     nrows, ncols = values.shape
     step = max(1, _FORMAT_CHUNK_CELLS // ncols)
     is_bool = values.dtype.kind == "b"
-    if is_bool:
-        table = _token_table(np.array([0.0, 1.0]))
-    else:
+    if not is_bool:
         values = values.astype(np.float64, copy=False)
     for first in range(0, nrows, step):
         block = values[first : first + step].ravel()
         if is_bool:
-            m, wide = _gather_rows(table, block.view(np.uint8)), {}
+            m = np.take(_BOOL_TOKENS, block.view(np.uint8), axis=0, mode="clip")
+            m[ncols - 1 :: ncols, -1] = ord("\n")
+            yield m.tobytes()
         else:
             m, wide = _token_matrix(block, nonfinite)
-        yield _joined(m, ncols, wide)
+            yield _joined(m, ncols, wide)
 
 
 def write_blocks(path, blocks: Iterator[bytes]) -> None:

@@ -65,14 +65,12 @@ def compare_tiled(a, b, exclude: np.ndarray | None = None, tile_px: int = 1000) 
     if tile_px < 1:
         raise ParameterError(f"tile_px must be >= 1, got {tile_px}")
 
-    diff = arr_a - arr_b
-    valid = np.isfinite(diff)
-    if exclude is not None:
-        if exclude.shape != diff.shape:
-            raise GridMismatchError("exclusion mask shape differs from rasters")
-        valid &= ~exclude
+    if exclude is not None and exclude.shape != arr_a.shape:
+        raise GridMismatchError("exclusion mask shape differs from rasters")
 
-    nrows, ncols = diff.shape
+    # each tile's difference and validity come from slices of the inputs;
+    # both are elementwise, so no full-size raster of either is built
+    nrows, ncols = arr_a.shape
     tiles: list[TileMetrics] = []
     sum_abs = 0.0
     sum_sq = 0.0
@@ -81,7 +79,11 @@ def compare_tiled(a, b, exclude: np.ndarray | None = None, tile_px: int = 1000) 
         for tc in range(math.ceil(ncols / tile_px)):
             rs = slice(tr * tile_px, min(nrows, (tr + 1) * tile_px))
             cs = slice(tc * tile_px, min(ncols, (tc + 1) * tile_px))
-            d = diff[rs, cs][valid[rs, cs]]
+            d = arr_a[rs, cs] - arr_b[rs, cs]
+            valid = np.isfinite(d)
+            if exclude is not None:
+                valid &= ~exclude[rs, cs]
+            d = d[valid]
             n = d.size
             if n == 0:
                 tiles.append(TileMetrics(tr, tc, 0, None, None))

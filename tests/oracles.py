@@ -370,6 +370,26 @@ def tile_metrics(a, b, valid, tile_px):
     return out
 
 
+def full_raster_tiles(a, b, exclude, tile_px):
+    """Per-tile (row, col, valid_px, sum |d|, sum d*d) from full-size rasters.
+
+    The difference and validity of the whole raster are built first and
+    each tile's valid differences taken from them, in row-major order.
+    """
+    diff = a - b
+    valid = np.isfinite(diff)
+    if exclude is not None:
+        valid &= ~exclude
+    nrows, ncols = diff.shape
+    out = []
+    for tr in range(math.ceil(nrows / tile_px)):
+        for tc in range(math.ceil(ncols / tile_px)):
+            win = (slice(tr * tile_px, (tr + 1) * tile_px), slice(tc * tile_px, (tc + 1) * tile_px))
+            d = diff[win][valid[win]]
+            out.append((tr, tc, d.size, float(np.abs(d).sum()), float((d * d).sum())))
+    return out
+
+
 def per_cell_ascii_grid(values, grid):
     """ESRI ASCII grid text, one f-string per cell, NaN/inf as -9999."""
     lines = [

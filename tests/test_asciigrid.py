@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from breakline_dtm import ingest
+from breakline_dtm import asciigrid, ingest
 from breakline_dtm.asciigrid import (
     _lf_lines,
     format_ascii_grid,
@@ -27,6 +28,9 @@ from oracles import per_cell_ascii_grid, per_cell_xyz_text, per_line_ascii_grid
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -9999.0, 1e15, -1e15, 4.9e-7, -4.9e-7, 5e-7]
 # |x| * 1e6 from here on is at least 2**52 in float64
 BIG = 2.0**52 / 1e6
+# reader block sizes: small ones cut inside CRLF pairs, header lines,
+# blank runs and lone CRs, and leave lines longer than a block
+BLOCK_BYTES = [1, 7, 64, asciigrid._READ_BLOCK_BYTES]
 
 
 @st.composite
@@ -269,9 +273,18 @@ def test_integer_writer_bytes_equal_per_cell_oracle(values, chunk_cells):
     assert text == per_cell_ascii_grid(values, grid)
 
 
+def _read_in_blocks(path, block_bytes):
+    """Read a well-formed grid; the whole-file path, kept for faults, is not taken."""
+    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(asciigrid, "_read_whole", side_effect=AssertionError("fell back")):
+        back, grid = read_ascii_grid(path)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    return back, grid
+
+
 @settings(max_examples=100, deadline=None)
-@given(rasters, st.data())
-def test_reader_equals_per_line_oracle(tmp_path_factory, values, data):
+@given(rasters, st.data(), st.sampled_from(BLOCK_BYTES))
+def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_bytes):
     grid = GridSpec(-3.5, 7.25, 0.5, values.shape[1], values.shape[0])
     lines = format_ascii_grid(values, grid).split("\n")
     # every ASCII line boundary of str.splitlines(), mixed within a file
@@ -280,7 +293,7 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data):
     text = "".join(ln.replace(" ", sep) + data.draw(eols) for ln in lines[:-1])
     path = tmp_path_factory.mktemp("grid") / "g.asc"
     path.write_bytes(text.encode("ascii"))
-    back, back_grid = read_ascii_grid(path)
+    back, back_grid = _read_in_blocks(path, block_bytes)
     expected, geometry = per_line_ascii_grid(text)
     assert (back_grid.origin_x, back_grid.origin_y, back_grid.cell,
             back_grid.ncols, back_grid.nrows) == geometry
@@ -301,32 +314,56 @@ def test_lf_lines_rewrites_lone_cr_and_control_line_ends(eol):
 
 
 def test_reader_skips_blank_lines_like_oracle(tmp_path):
-    text = (
+    texts = [
         "\nncols 2\n\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
-        "NODATA_value -9999\n\n1 -9999\n  \n3 4\n\n"
-    )
+        "NODATA_value -9999\n\n1 -9999\n  \n3 4\n\n",
+        # CRLF, lone CR and blank runs in and around the header; no final line end
+        "\r\n\r\nncols 3\r\nnrows 3\rxllcorner 0\r\n\r\nyllcorner 0\ncellsize 1\r"
+        "NODATA_value -9999\r\n\r\r\n1 2 3\r\n \r4 -9999 6\r\r\n\n7 8 9",
+    ]
     p = tmp_path / "b.asc"
-    p.write_text(text)
-    back, _ = read_ascii_grid(p)
-    expected, _ = per_line_ascii_grid(text)
-    assert np.array_equal(back, expected, equal_nan=True)
+    for text in texts:
+        p.write_bytes(text.encode("ascii"))
+        expected, _ = per_line_ascii_grid(text)
+        for block_bytes in BLOCK_BYTES:
+            back, _ = _read_in_blocks(p, block_bytes)
+            assert back.tobytes() == expected.tobytes(), (text, block_bytes)
+
+
+def _read_error(path) -> str:
+    """The reader's message for a faulty file, the same at every block size."""
+    messages = set()
+    for block_bytes in BLOCK_BYTES:
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+                pytest.raises(HeaderMismatchError) as info:
+            read_ascii_grid(path)
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
 
 
 def test_reader_errors_name_the_file(tmp_path):
     head = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
     p = tmp_path / "bad.asc"
-    p.write_bytes(head.encode() + b"1 2 3\n4 5 \xe9\n")
-    with pytest.raises(HeaderMismatchError, match=r"bad\.asc: non-ASCII byte 0xe9"):
-        read_ascii_grid(p)
-    p.write_text(head + "1 2 3\n4 5\n")
-    with pytest.raises(HeaderMismatchError, match="data row 2 has 2 values, header declares ncols 3"):
-        read_ascii_grid(p)
-    p.write_text(head + "1 2 3\n")
-    with pytest.raises(HeaderMismatchError, match="header declares 2 rows but file has 1"):
-        read_ascii_grid(p)
-    p.write_text(head)
-    with pytest.raises(HeaderMismatchError, match="header declares 2 rows but file has 0"):
-        read_ascii_grid(p)
+    cases = [
+        (head.encode() + b"1 2 3\n4 5 \xe9\n", r"bad\.asc: non-ASCII byte 0xe9 at offset 80$"),
+        # the first fault in the file is not the one reported
+        (head.encode() + b"1 2\n4 5 6\n7 8 9\n\xff", r"bad\.asc: non-ASCII byte 0xff at offset"),
+        (head.encode()[:20] + b"\x80" + head.encode()[20:], "non-ASCII byte 0x80 at offset 20$"),
+        # loadtxt reads 0xa0 (NBSP in Latin-1) as whitespace
+        (head.encode() + b"1 2\xa03\n4 5 6\n", "non-ASCII byte 0xa0 at offset 73$"),
+        (head + "1 2 3\n4 5\n", "data row 2 has 2 values, header declares ncols 3$"),
+        (head + "1 2 3\n4 5 6\n7 8\n", "data row 3 has 2 values, header declares ncols 3$"),
+        (head + "1 2 3\n", "header declares 2 rows but file has 1$"),
+        (head + "1 2 3\n4 5 6\n7 8 9\n", "header declares 2 rows but file has 3$"),
+        (head, "header declares 2 rows but file has 0$"),
+        (head + "1 2\n3 4\n", r"header declares 2x3 but data is \(2, 2\)$"),
+        # one value per row would broadcast into a row of three
+        (head + "1\n2\n", r"header declares 2x3 but data is \(2, 1\)$"),
+        (head + "1 2 3\n4 x 6\n", "non-numeric cell value: "),
+        (head.replace("cellsize 1\n", "") + "1 2 3\n4 5 6\n", r"header missing \['cellsize'\]"),
+        ("ncols 3\nnrows 2\n1 2 3\n4 5 6\n", "header missing"),
+    ]
     for key, value, message in [
         ("ncols", "2.7", "header ncols must be a positive integer, got 2.7"),
         ("ncols", "-3", "header ncols must be a positive integer, got -3.0"),
@@ -339,6 +376,7 @@ def test_reader_errors_name_the_file(tmp_path):
         ("cellsize", "-1", r"header cellsize must be > 0, got -1\.0"),
     ]:
         lines = [f"{key} {value}" if ln.split()[0] == key else ln for ln in head.splitlines()]
-        p.write_text("\n".join(lines) + "\n1 2 3\n4 5 6\n")
-        with pytest.raises(HeaderMismatchError, match=rf"bad\.asc: {message}"):
-            read_ascii_grid(p)
+        cases.append(("\n".join(lines) + "\n1 2 3\n4 5 6\n", rf"bad\.asc: {message}"))
+    for payload, pattern in cases:
+        p.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+        assert re.search(pattern, _read_error(p)), (payload, pattern)

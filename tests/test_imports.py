@@ -3,6 +3,8 @@
 Importing the package loads numpy only; scipy is imported inside the
 functions that call it, so `compare` and `synth` never load it and `dtm`
 loads `scipy.ndimage` and `scipy.spatial` but not `scipy.interpolate`.
+The CLI runs scipy's OpenBLAS on one thread unless the caller chose a
+count.
 """
 
 import json
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import breakline_dtm
 from breakline_dtm.asciigrid import write_ascii_grid
@@ -29,11 +32,32 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".
 """
 
 
-def probe(*argv) -> dict:
+# runs argv through the CLI, then prints the exit code and the thread count
+# of the OpenBLAS scipy loaded (null where that library or symbol is absent)
+BLAS_PROBE = """
+import ctypes, glob, json, os, sys
+import breakline_dtm.cli
+rc = breakline_dtm.cli.main(sys.argv[1:])
+libs = os.path.join(os.path.dirname(sys.modules["scipy"].__file__), os.pardir, "scipy.libs")
+threads = None
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = get()
+print(json.dumps({"rc": rc, "threads": threads}))
+"""
+
+
+def probe(*argv, script=PROBE, blas_threads=None) -> dict:
+    """Run ``script`` on ``argv``; ``blas_threads`` sets OPENBLAS_NUM_THREADS, None unsets it."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, *map(str, argv)],
+        [sys.executable, "-c", script, *map(str, argv)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -69,14 +93,31 @@ def test_synth_loads_no_scipy(tmp_path):
     assert probe("synth", scene, "--out-dir", tmp_path / "s") == {"rc": 0, "scipy": []}
 
 
-def test_dtm_loads_no_scipy_interpolate_and_times_the_scipy_import(tmp_path):
+def _tiny_scene(tmp_path) -> Path:
+    """A 40x40 m plane with one 10x10 m building, as XYZ text."""
     gx, gy = np.meshgrid(np.arange(0.25, 40, 0.5), np.arange(0.25, 40, 0.5))
     z = 50 + 0.01 * gx + 8.0 * ((abs(gx - 20) < 5) & (abs(gy - 20) < 5))
     pts = tmp_path / "p.xyz"
     np.savetxt(pts, np.column_stack([gx.ravel(), gy.ravel(), z.ravel()]), fmt="%.3f")
+    return pts
+
+
+def test_dtm_loads_no_scipy_interpolate_and_times_the_scipy_import(tmp_path):
+    pts = _tiny_scene(tmp_path)
     res = probe("dtm", pts, "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
     assert res["rc"] == 0
     assert {"scipy.ndimage", "scipy.spatial"} <= set(res["scipy"])
     assert not [m for m in res["scipy"] if m.startswith("scipy.interpolate")]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["timings_s"]["scipy_import"] > 0
+
+
+@pytest.mark.parametrize("preset", [None, 2])
+def test_cli_runs_scipy_openblas_on_one_thread_unless_set(tmp_path, preset):
+    if preset is not None and (os.cpu_count() or 1) < preset:
+        pytest.skip("OpenBLAS caps its threads at the CPU count")
+    argv = ("dtm", _tiny_scene(tmp_path), "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
+    res = probe(*argv, script=BLAS_PROBE, blas_threads=preset)
+    if res["threads"] is None:
+        pytest.skip("scipy loads no libscipy_openblas with scipy_openblas_get_num_threads")
+    assert res == {"rc": 0, "threads": preset or 1}

@@ -1,4 +1,4 @@
-"""Transient memory of the pipeline's heaviest stages on a 600x600 grid.
+"""Transient memory of the heaviest stages and grid reads on a 600x600 grid.
 
 Each bound is the traced peak a stage may allocate above what was
 allocated when it was entered (its result included), at least 1.5x
@@ -12,10 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
 from breakline_dtm.ingest import _read_las
 from breakline_dtm.interp import interpolate_nonground
 from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
+from breakline_dtm.tiling import compare_tiled
 from breakline_dtm.water import water_mask
 from test_ingest import make_las
 
@@ -26,8 +28,14 @@ POINTS = 1_440_000  # 4 points per square metre
 # 19.5, 16.7 and 11.3 MB.  With nearest donors found by distance shells,
 # interpolate_nonground takes 6.6 MB and fill_voids_nearest 12.0 MB
 # (17.7 MB with an EDT and tie-break for every void); with region corners
-# built in place, region_stats takes 2.4 MB
+# built in place, region_stats takes 2.4 MB.  Reading a 3.4 MB ASCII grid
+# takes 8.9 MB whole (the bytes, loadtxt's array and a flipped copy) and
+# 4.2 MB streamed in blocks; compare_tiled with a mask and 250 px tiles
+# takes 3.8 MB with full-size difference and validity rasters and 1.0 MB
+# tile by tile
 BOUNDS_MB = {
+    "read_ascii_grid": 6.5,
+    "compare_tiled": 2.0,
     "read_las": 60.0,
     "bin_min_count": 40.0,
     "fill_voids_nearest": 18.0,
@@ -66,8 +74,21 @@ def _points(rng):
     )
 
 
-def _case(name):
+def _elevations(rng):
+    """Terrain heights with 5 % NODATA cells."""
+    elev = rng.normal(50, 2, GRID.shape)
+    elev[rng.random(GRID.shape) < 0.05] = np.nan
+    return elev
+
+
+def _case(name, tmp_path):
     rng = np.random.default_rng(7)
+    if name == "read_ascii_grid":
+        write_ascii_grid(_elevations(rng), GRID, tmp_path / "g.asc")
+        return read_ascii_grid, tmp_path / "g.asc"
+    if name == "compare_tiled":
+        exclude = rng.random(GRID.shape) < 0.2
+        return compare_tiled, _elevations(rng), _elevations(rng), exclude, 250
     if name == "read_las":
         ixyz = rng.integers(0, 300_000, size=(POINTS, 3))
         return _read_las, make_las(ixyz, scale=(0.001,) * 3), False
@@ -95,8 +116,8 @@ def _case(name):
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS_MB))
-def test_stage_transient_memory_is_bounded(name):
-    fn, *args = _case(name)
+def test_stage_transient_memory_is_bounded(name, tmp_path):
+    fn, *args = _case(name, tmp_path)
     if name in ("fill_voids_nearest", "interpolate_nonground", "region_stats"):
         fn(*args)  # loads scipy's lazily imported modules outside the trace
     peak = traced_peak_mb(fn, *args)

@@ -1,11 +1,12 @@
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from breakline_dtm import pipeline
+from breakline_dtm import asciigrid, pipeline
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
 from breakline_dtm.errors import EmptyInputError
@@ -24,6 +25,7 @@ from breakline_dtm.scene import (
     _rect_polygon,
 )
 from oracles import per_cell_ascii_grid
+from test_asciigrid import BLOCK_BYTES
 
 SCENE = Scene(
     extent=BBox(0, 0, 400, 400),
@@ -388,12 +390,18 @@ def _grid_header(ncols, nrows):
 
 
 def _compare_bad_grid(tmp_path, capsys, payload):
+    """Exit code and stderr of compare on a faulty grid, the same at every read block size."""
     grid = GridSpec(0, 0, 1.0, 3, 2)
     write_ascii_grid(np.zeros((2, 3)), grid, tmp_path / "a.asc")
     bad = tmp_path / "bad.asc"
     bad.write_bytes(payload)
-    code = run_cli(["compare", tmp_path / "a.asc", bad, "--out", tmp_path / "t.csv"])
-    return code, capsys.readouterr().err
+    results = set()
+    for block_bytes in BLOCK_BYTES:
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+            code = run_cli(["compare", tmp_path / "a.asc", bad, "--out", tmp_path / "t.csv"])
+        results.add((code, capsys.readouterr().err))
+    assert len(results) == 1, results
+    return results.pop()
 
 
 def test_cli_compare_non_ascii_grid_is_input_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from breakline_dtm.errors import GridMismatchError, ParameterError
 from breakline_dtm.tiling import compare_tiled, write_tile_csv
-from oracles import tile_metrics
+from oracles import full_raster_tiles, tile_metrics
 
 
 def test_identical_rasters_all_zero():
@@ -156,3 +158,45 @@ def test_csv_output(tmp_path):
     assert lines[0] == "tile_row,tile_col,valid_px,mae,rmse,rank"
     assert len(lines) == 5
     assert lines[1].startswith("0,0,4,1.500000,1.500000,")
+
+
+def _bits(*values):
+    """The float64 bits of each value; None reads as NaN."""
+    return np.array([np.nan if v is None else v for v in values], np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tile_px", [1, 4, 7, 16, 41, 1000])
+def test_tile_by_tile_equals_full_raster_oracle_bit_for_bit(seed, tile_px):
+    # 37x41 leaves edge tiles for every tile_px but 1 and 41; the cells hold
+    # NaN, +-inf and differences whose squares overflow
+    rng = np.random.default_rng(seed)
+    a = rng.normal(100.0, 30.0, (37, 41))
+    b = rng.normal(100.0, 30.0, (37, 41))
+    for arr in (a, b):
+        arr.flat[rng.choice(arr.size, 120, replace=False)] = rng.choice(
+            [np.nan, np.inf, -np.inf, 1e300, -1e300], 120
+        )
+    exclude = rng.random(a.shape) < 0.3
+    exclude[:, :tile_px] = True  # whole tiles without a valid pixel
+    for mask in (None, exclude):
+        rep = compare_tiled(a, b, exclude=mask, tile_px=tile_px)
+        expected = full_raster_tiles(a, b, mask, tile_px)
+        assert [(t.row, t.col, t.valid_px) for t in rep.tiles] == [e[:3] for e in expected]
+        sums = [(s_abs / n, math.sqrt(s_sq / n)) if n else (None, None)
+                for *_, n, s_abs, s_sq in expected]
+        assert _bits(*[v for t in rep.tiles for v in (t.mae, t.rmse)]) == _bits(
+            *[v for pair in sums for v in pair]
+        )
+        total = sum(e[2] for e in expected)
+        assert rep.total_valid == total
+        if total:
+            sum_abs, sum_sq = sum(e[3] for e in expected), sum(e[4] for e in expected)
+            assert _bits(rep.global_mae, rep.global_rmse) == _bits(
+                sum_abs / total, math.sqrt(sum_sq / total)
+            )
+        else:  # the mask covers every tile
+            assert rep.global_mae is rep.global_rmse is None
+        ranked = sorted((e for e in expected if e[2]), key=lambda e: (-e[3] / e[2], e[0], e[1]))
+        assert rep.ranking == [e[:2] for e in ranked]
