@@ -74,8 +74,12 @@ def _lf_lines(data: bytes) -> bytes:
     return data
 
 
-def _parse_header(data: bytes) -> tuple[dict[str, float], int]:
-    """Header values by lower-case key, and the byte offset of the body."""
+def _parse_header(path, data: bytes) -> tuple[dict[str, float], int]:
+    """Header values by lower-case key, and the byte offset of the body.
+
+    A value that is not a number raises HeaderMismatchError naming the
+    file, the key and the value.
+    """
     header: dict[str, float] = {}
     pos = 0
     while pos < len(data) and len(header) < 6:
@@ -83,9 +87,15 @@ def _parse_header(data: bytes) -> tuple[dict[str, float], int]:
         end = len(data) if end < 0 else end
         parts = data[pos:end].decode("ascii").split()
         if parts:
-            if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
+            key = parts[0].lower()
+            if len(parts) != 2 or key not in _HEADER_KEYS:
                 break
-            header[parts[0].lower()] = float(parts[1])
+            try:
+                header[key] = float(parts[1])
+            except ValueError:
+                raise HeaderMismatchError(
+                    f"{path}: header {key} is not a number: {parts[1]!r}"
+                ) from None
         pos = end + 1
     return header, pos
 
@@ -166,8 +176,8 @@ def _read_blocks(path, fh) -> tuple[np.ndarray, GridSpec] | None:
     for block in blocks:
         head += _lf_lines(block)
         try:
-            header, offset = _parse_header(head)
-        except ValueError:  # a non-ASCII byte, or a value float() refuses
+            header, offset = _parse_header(path, head)
+        except (UnicodeDecodeError, HeaderMismatchError):
             return None
         if len(header) == 6 or offset < len(head):
             break  # the header is whole, or a line that is none ends it
@@ -206,7 +216,7 @@ def _read_whole(path) -> tuple[np.ndarray, GridSpec]:
             f"{path}: non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}"
         ) from None
     raw = _lf_lines(raw)
-    header, offset = _parse_header(raw)
+    header, offset = _parse_header(path, raw)
     grid = _grid_of(path, header)
     nrows, ncols = grid.shape
 
@@ -236,7 +246,7 @@ def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
 
     The file is read in blocks of about ``_READ_BLOCK_BYTES`` into one
     C-contiguous array, row 0 south.  A malformed file (a non-ASCII
-    byte, a missing or non-finite header value, a non-integer or
+    byte, a missing, non-numeric or non-finite header value, a non-integer or
     non-positive ncols/nrows, a non-positive cellsize, wrong row or
     column counts, a non-numeric cell) raises HeaderMismatchError naming
     the file.

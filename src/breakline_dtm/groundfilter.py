@@ -173,16 +173,37 @@ def region_stats(seg: Segmentation) -> RegionStats:
     return RegionStats(counts, area, mbr, rect)
 
 
-def region_ground_flags(stats: RegionStats, params: FilterParams) -> np.ndarray:
-    """Ground decision per region (index i holds label i + 1).
+def region_rules(stats: RegionStats, params: FilterParams) -> dict[str, np.ndarray]:
+    """Which rule of the enclosure classification decides each region.
 
-    area < a1 is non-ground, area > a2 is ground; areas inside the closed
-    interval [a1, a2] are non-ground exactly when rectangularity > r.
+    One boolean array per rule (index i holds label i + 1); every region
+    is under exactly one.  area < a1 is non-ground, area > a2 is ground;
+    areas inside the closed interval [a1, a2] are non-ground exactly when
+    rectangularity > r.
     """
     area = stats.area_m2
     rect = stats.rectangularity
     mid = (area >= params.a1_m2) & (area <= params.a2_m2)
-    return (area > params.a2_m2) | (mid & (rect <= params.r))
+    return {
+        "area_below_a1": area < params.a1_m2,
+        "area_above_a2": area > params.a2_m2,
+        "mid_rect_above_r": mid & (rect > params.r),
+        "mid_rect_at_most_r": mid & (rect <= params.r),
+    }
+
+
+def region_ground_flags(stats: RegionStats, params: FilterParams) -> np.ndarray:
+    """Ground decision per region (index i holds label i + 1); see ``region_rules``."""
+    rules = region_rules(stats, params)
+    return rules["area_above_a2"] | rules["mid_rect_at_most_r"]
+
+
+def region_rule_counts(stats: RegionStats, params: FilterParams) -> dict[str, dict[str, int]]:
+    """Per rule of ``region_rules``, the regions it decides and their pixels."""
+    return {
+        name: {"regions": int(under.sum()), "px": int(stats.pixel_count[under].sum())}
+        for name, under in region_rules(stats, params).items()
+    }
 
 
 def classify_regions(

@@ -10,6 +10,7 @@ alone.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -24,6 +25,7 @@ from .groundfilter import (
     Segmentation,
     classify_regions,
     label_regions,
+    region_rule_counts,
     region_stats,
 )
 from .ingest import BBox, PointCloud, bounds, read_points
@@ -130,10 +132,19 @@ def _import_scipy() -> None:
     """Load the scipy modules that the stages import on their first call.
 
     As a stage of its own, the one-off load is not charged to whichever
-    stage happens to call scipy first.
+    stage happens to call scipy first.  The load creates tens of thousands
+    of objects that stay alive, and the cyclic collector's hundred passes
+    during it free almost nothing; it is paused, and the caller's state
+    comes back.
     """
-    import scipy.ndimage  # noqa: F401
-    import scipy.spatial  # noqa: F401
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        import scipy.ndimage  # noqa: F401
+        import scipy.spatial  # noqa: F401
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
@@ -195,6 +206,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "count": seg.region_count,
             "ground_px": int(ground.is_ground.sum()),
             "nonground_px": int((~ground.is_ground).sum()),
+            "by_rule": region_rule_counts(stats, cfg.filter_params),
         },
         "water": {
             "segment_count": len(wmap.segments),

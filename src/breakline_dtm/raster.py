@@ -199,33 +199,42 @@ _PROBES_PER_CELL = 4
 _SEARCH_RADIUS = 32
 # probes per gather: an index block of 512 KB
 _PROBE_BLOCK = 2**16
+# the EDT's targets probe the shells of a range of this many squared
+# distances at a time: about pi * 2**13 = 25,736 offsets
+_ANNULUS_D2 = 2**13
 
 
-def _search_shells(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Offsets (dr, dc) with |dr|, |dc| <= ``radius``, their d2, and where each d2 shell starts.
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each (s, n) pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts - starts, counts)
 
-    Sorted by squared distance d2, then row-major; the shell starts end
-    with the offset count.
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.isqrt`` of non-negative ints: the float root, corrected."""
+    s = np.sqrt(x).astype(np.int64)
+    return s - (s * s > x) + ((s + 1) * (s + 1) <= x)
+
+
+def _annulus(lo2: int, hi2: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets (dr, dc) with ``lo2 <= d2 <= hi2`` and |dr|, |dc| <= ``limit``, and their d2.
+
+    Sorted by d2, then row-major, so the offsets of one d2 are one shell.
     """
-    side = 2 * radius + 1
-    dr, dc = np.divmod(np.arange(side * side), side)  # row-major
-    dr -= radius
-    dc -= radius
+    k = min(math.isqrt(hi2), limit)
+    rows = np.arange(-k, k + 1)
+    # per row, the columns dc >= 0 inside the annulus
+    top = np.minimum(_isqrt(hi2 - rows * rows), limit)
+    rem = np.maximum(lo2 - rows * rows, 0)
+    bottom = _isqrt(rem)
+    bottom += bottom * bottom < rem
+    counts = np.maximum(top - bottom + 1, 0)
+    dr = np.repeat(rows, counts)
+    dc = _ragged(bottom, counts)
+    dr, dc = np.concatenate([dr, dr[dc > 0]]), np.concatenate([dc, -dc[dc > 0]])
     d2 = dr * dr + dc * dc
-    order = np.argsort(d2, kind="stable")
-    dr, dc, d2 = dr[order], dc[order], d2[order]
-    return dr, dc, d2, [*np.flatnonzero(np.diff(d2, prepend=-1)).tolist(), d2.size]
-
-
-def _shell(dist2: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (dr, dc) at squared distance ``dist2``, row-major, with |dr|, |dc| <= ``limit``."""
-    k = min(math.isqrt(dist2), limit)
-    dr = np.arange(-k, k + 1)
-    rem = dist2 - dr * dr
-    dc = np.rint(np.sqrt(rem)).astype(np.int64)
-    on = (dc * dc == rem) & (dc <= limit)
-    # (dr, -dc) before (dr, dc); (dr, 0) comes twice and hits the same donor
-    return np.repeat(dr[on], 2), np.column_stack([-dc[on], dc[on]]).ravel()
+    order = np.lexsort((dc, dr, d2))
+    return dr[order], dc[order], d2[order]
 
 
 def _padded(
@@ -256,6 +265,26 @@ def _first_hits(flat: np.ndarray, pos: np.ndarray, deltas: np.ndarray) -> np.nda
     return n - first
 
 
+def _first_run_hits(
+    flat: np.ndarray, pos: np.ndarray, deltas: np.ndarray, start: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Per position, the index of the first delta in its own run with ``flat[pos + delta]`` set.
+
+    Position i probes ``deltas[start[i] : start[i] + counts[i]]``, and
+    one of them must hit.  One ragged gather per group of positions with
+    about ``_PROBE_BLOCK`` probes.
+    """
+    first = np.empty(pos.size, dtype=np.int64)
+    begins = np.cumsum(counts) - counts
+    cuts = [0, *(np.flatnonzero(np.diff(begins // _PROBE_BLOCK)) + 1).tolist(), pos.size]
+    for a, b in zip(cuts, cuts[1:]):
+        probes = _ragged(start[a:b], counts[a:b])
+        hits = np.flatnonzero(flat[np.repeat(pos[a:b], counts[a:b]) + deltas[probes]])
+        # hits ascend, so a position's first is the first at or after its first probe
+        first[a:b] = probes[hits[np.searchsorted(hits, begins[a:b] - begins[a])]]
+    return first
+
+
 def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Flat index of the Euclidean-nearest donor cell for each flat index in ``targets``.
 
@@ -283,11 +312,12 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
 
     pad = min(_SEARCH_RADIUS, max(nrows, ncols))
     flat, width, pos = _padded(donor_mask, pad, targets)
-    dr, dc, d2, starts = _search_shells(pad)
+    dr, dc, d2 = _annulus(0, pad * pad, pad)
+    starts = np.flatnonzero(np.diff(d2, prepend=-1)).tolist()
     left = np.arange(targets.size)
     probes = _PROBES_PER_CELL * donor_mask.size
-    for lo, hi in zip(starts, starts[1:]):
-        if not left.size or d2[lo] > pad * pad:
+    for lo, hi in zip(starts, [*starts[1:], d2.size]):
+        if not left.size:
             break
         if d2[lo] > 1:
             probes -= left.size * (hi - lo)
@@ -325,11 +355,18 @@ def _edt_donors(
     # need not be wider than that
     pad = min(math.isqrt(int(t_d2[-1])), max(nrows, ncols))
     flat, width, pos = _padded(donor_mask, pad, targets[left])
-    starts = np.flatnonzero(np.diff(t_d2, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [left.size]):
-        sdr, sdc = _shell(int(t_d2[lo]), pad)
-        first = _first_hits(flat, pos[lo:hi], sdr * width + sdc)
+    lo = 0
+    while lo < left.size:
+        # the shells of the nearest distance left and of those up to
+        # _ANNULUS_D2 past it; each target probes its own shell
+        lo2 = int(t_d2[lo])
+        sdr, sdc, sd2 = _annulus(lo2, lo2 + _ANNULUS_D2, pad)
+        hi = int(np.searchsorted(t_d2, lo2 + _ANNULUS_D2, side="right"))
+        start = np.searchsorted(sd2, t_d2[lo:hi])
+        counts = np.searchsorted(sd2, t_d2[lo:hi], side="right") - start
+        first = _first_run_hits(flat, pos[lo:hi], sdr * width + sdc, start, counts)
         donor[left[lo:hi]] = targets[left[lo:hi]] + (sdr * ncols + sdc)[first]
+        lo = hi
 
 
 def fill_voids_nearest(sparse: SparseDsm) -> Dsm:

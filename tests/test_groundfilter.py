@@ -14,6 +14,8 @@ from breakline_dtm.groundfilter import (
     label_4connected,
     label_regions,
     min_area_rect,
+    region_ground_flags,
+    region_rule_counts,
     region_stats,
 )
 from breakline_dtm.raster import GridSpec
@@ -365,3 +367,21 @@ def test_enclosed_small_region_nonground_regardless_of_labels():
     inner[5:9, 5:9] = True
     # inner region is 16 px = 16 m2 < A1 -> non-ground whatever its elevation
     assert not gm.is_ground[inner].any()
+
+
+def test_region_rule_counts_put_each_region_under_one_rule():
+    params = FilterParams(a1_m2=100, a2_m2=200, r=0.5)
+    # area < a1, the limits a1 and a2 themselves, area > a2, each side of r
+    area = np.array([99.0, 100.0, 100.0, 150.0, 200.0, 200.5, 300.0])
+    rect = np.array([0.9, 0.5, 0.51, 0.2, 0.9, 0.9, 0.1])
+    pixels = np.array([1, 2, 4, 8, 16, 32, 64])
+    stats = RegionStats(pixels, area, area / rect, rect)
+    counts = region_rule_counts(stats, params)
+    assert counts == {
+        "area_below_a1": {"regions": 1, "px": 1},
+        "area_above_a2": {"regions": 2, "px": 96},
+        "mid_rect_above_r": {"regions": 2, "px": 20},
+        "mid_rect_at_most_r": {"regions": 2, "px": 10},
+    }
+    ground = region_ground_flags(stats, params)
+    assert ground.tolist() == [False, True, False, True, False, True, True]

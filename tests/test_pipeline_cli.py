@@ -318,6 +318,20 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
     assert list(report["peak_rss_mb"]) == list(report["timings_s"])
     peaks = list(report["peak_rss_mb"].values())
     assert peaks[0] > 0 and peaks == sorted(peaks)
+    # every region, and every pixel but the break pixels, under one rule
+    regions = report["regions"]
+    rules = regions["by_rule"]
+    assert set(rules) == {
+        "area_below_a1", "area_above_a2", "mid_rect_above_r", "mid_rect_at_most_r"
+    }
+    assert sum(r["regions"] for r in rules.values()) == regions["count"]
+    breaks, _ = read_ascii_grid(out_dir / "break_mask.asc")
+    break_px = int((breaks != 0).sum())
+    assert break_px > 0
+    assert sum(r["px"] for r in rules.values()) == (
+        regions["ground_px"] + regions["nonground_px"] - break_px
+    )
+    assert rules["area_above_a2"]["regions"] > 0 and rules["area_below_a1"]["regions"] > 0
     dtm, grid = read_ascii_grid(out_dir / "dtm.asc")
     assert grid.shape == (240, 240)
     # flat scene: away from the building the DTM reads the plane
@@ -420,13 +434,16 @@ def test_cli_compare_ragged_grid_row_names_row_and_counts(tmp_path, capsys):
 
 
 def test_cli_compare_bad_grid_header_is_input_error(tmp_path, capsys):
-    # a truncated ncols, a NaN origin and a zero cell size all fault the file
+    # a truncated ncols, a NaN origin, a zero cell size and a value that is
+    # no number all fault the file; the message names the key and the value
     for old, new in [("ncols 3", "ncols 2.7"), ("xllcorner 0", "xllcorner nan"),
-                     ("cellsize 1", "cellsize 0")]:
+                     ("cellsize 1", "cellsize 0"), ("ncols 3", "ncols abc")]:
         payload = (_grid_header(3, 2).replace(old, new) + "1 2 3\n4 5 6\n").encode()
         code, err = _compare_bad_grid(tmp_path, capsys, payload)
+        key, value = new.split()
         assert code == 2, err
-        assert err.startswith("input error: ") and "bad.asc: header " + new.split()[0] in err
+        assert err.startswith("input error: ") and "bad.asc: header " + key in err
+        assert value in err.split(key, 1)[1]
 
 
 def test_cli_dtm_from_las_file(tmp_path):

@@ -394,6 +394,21 @@ def test_edt_runs_only_for_targets_the_shell_search_leaves(monkeypatch):
         assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
 
 
+@pytest.mark.parametrize("annulus_d2, probe_block", [(1, 1), (7, 5), (64, 300)])
+def test_edt_donors_match_brute_force_in_any_grouping(monkeypatch, annulus_d2, probe_block):
+    # small groups cut the EDT's targets inside shells, distance ranges and
+    # runs of equal distance
+    from breakline_dtm import raster
+
+    monkeypatch.setattr(raster, "_ANNULUS_D2", annulus_d2)
+    monkeypatch.setattr(raster, "_PROBE_BLOCK", probe_block)
+    donors = ~_disk(70, 60, 30, 25, 24)
+    donors[30, 25] = True  # a donor inside the lake
+    targets = np.flatnonzero(~donors)
+    got = nearest_donor_indices(donors, targets)
+    assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+
+
 def test_nearest_donor_indices_no_donor_raises():
     with pytest.raises(AllVoidError):
         nearest_donor_indices(np.zeros((3, 3), dtype=bool), np.array([0, 4]))
