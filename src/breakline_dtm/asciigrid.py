@@ -11,22 +11,17 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import re
-import warnings
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import CONTROL_LINE_ENDS, format_6f_blocks, write_blocks
+from .ingest import _lf_lines, format_6f_blocks, loadtxt_f64, write_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-# the ASCII line boundaries of str.splitlines(); np.loadtxt reads only
-# LF and CRLF as line ends, and the controls among them as whitespace
-_LINE_END = re.compile(rb"\r\n|[\n\r" + b"".join(CONTROL_LINE_ENDS) + rb"]")
 # bytes read at a time; each block is cut back to its last LF.  A block
 # holds about 5.5 times its size while it is parsed (its copies, loadtxt's
 # buffers and result), so 1 MiB blocks would hold 5.8 MB for no gain in time
@@ -60,18 +55,6 @@ def write_ascii_grid(values: np.ndarray, grid: GridSpec, path) -> None:
     A failed write leaves no partial file (see ``ingest.write_blocks``).
     """
     write_blocks(path, _grid_chunks(values, grid))
-
-
-def _lf_lines(data: bytes) -> bytes:
-    """``data`` with every line boundary np.loadtxt would misread as LF.
-
-    Text with none, such as LF-only or CRLF-only text, is returned as it
-    is; only text holding a CR pays for counting its CRs against its CRLFs.
-    """
-    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    if lone_cr or any(c in data for c in CONTROL_LINE_ENDS):
-        return _LINE_END.sub(b"\n", data)
-    return data
 
 
 def _parse_header(path, data: bytes) -> tuple[dict[str, float], int]:
@@ -137,13 +120,6 @@ def _grid_of(path, header: dict[str, float]) -> GridSpec:
     )
 
 
-def _loadtxt(body: io.BytesIO) -> np.ndarray:
-    """The rows of an ASCII grid body from its read position on, as a 2-D array."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a blank body: rows are counted
-        return np.loadtxt(body, dtype=np.float64, ndmin=2, comments=None)
-
-
 def _line_blocks(fh, size: int) -> Iterator[bytes]:
     """The bytes of ``fh`` read ``size`` at a time, cut back to the last LF.
 
@@ -192,7 +168,7 @@ def _read_blocks(path, fh) -> tuple[np.ndarray, GridSpec] | None:
         if not body.isascii():
             return None
         try:
-            data = _loadtxt(io.BytesIO(_lf_lines(body)))
+            data = loadtxt_f64(io.BytesIO(_lf_lines(body)))
         except ValueError:
             return None
         if data.size == 0:
@@ -223,7 +199,7 @@ def _read_whole(path) -> tuple[np.ndarray, GridSpec]:
     body = io.BytesIO(raw)
     body.seek(offset)
     try:
-        data = _loadtxt(body)
+        data = loadtxt_f64(body)
     except ValueError as exc:
         ragged = _ragged_row(body, offset, ncols)
         raise HeaderMismatchError(

@@ -38,13 +38,6 @@ from .tiling import compare_tiled, write_tile_csv
 from .water import WaterParams, water_mask, water_segments, water_threshold
 
 
-def _add_common_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cell", type=float, default=0.5, help="grid cell size in meters")
-    p.add_argument(
-        "--strict", action="store_true", help="abort on the first malformed record"
-    )
-
-
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--slope-threshold",
@@ -88,15 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dtm = sub.add_parser("dtm", help="run the full pipeline")
-    p_dtm.add_argument("input", help="point cloud file (XYZ text or LAS)")
-    p_dtm.add_argument("--out-dir", default=".", help="output directory")
-    _add_common_grid_flags(p_dtm)
+    # the flags of every subcommand that reads a point cloud
+    cloud = argparse.ArgumentParser(add_help=False)
+    cloud.add_argument("input", help="point cloud file (XYZ text or LAS)")
+    cloud.add_argument("--out-dir", default=".", help="output directory")
+    cloud.add_argument("--cell", type=float, default=0.5, help="grid cell size in meters")
+    cloud.add_argument("--strict", action="store_true", help="abort on the first malformed record")
+    cloud.add_argument("--workers", type=int, default=1, help="threads for rasterization (>= 1)")
+
+    p_dtm = sub.add_parser("dtm", parents=[cloud], help="run the full pipeline")
     _add_filter_flags(p_dtm)
     _add_water_flags(p_dtm)
-    p_dtm.add_argument(
-        "--workers", type=int, default=1, help="threads for rasterization (>= 1)"
-    )
     p_dtm.add_argument(
         "--crop",
         type=float,
@@ -111,19 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write DSM, slope, break and label rasters",
     )
 
-    p_slope = sub.add_parser("slope", help="slope map and break-line mask only")
-    p_slope.add_argument("input")
-    p_slope.add_argument("--out-dir", default=".")
-    _add_common_grid_flags(p_slope)
+    p_slope = sub.add_parser("slope", parents=[cloud], help="slope map and break-line mask only")
     p_slope.add_argument("--slope-threshold", type=float, default=45.0)
-    p_slope.add_argument("--workers", type=int, default=1)
 
-    p_water = sub.add_parser("water", help="water mask and segment table only")
-    p_water.add_argument("input")
-    p_water.add_argument("--out-dir", default=".")
-    _add_common_grid_flags(p_water)
+    p_water = sub.add_parser("water", parents=[cloud], help="water mask and segment table only")
     _add_water_flags(p_water)
-    p_water.add_argument("--workers", type=int, default=1)
 
     p_cmp = sub.add_parser("compare", help="tiled MAE/RMSE between two rasters")
     p_cmp.add_argument("raster_a")
@@ -253,6 +240,8 @@ def _cmd_water(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.top < 0:
+        raise ParameterError(f"--top must be >= 0, got {args.top}")
     arr_a, grid_a = read_ascii_grid(args.raster_a)
     arr_b, grid_b = read_ascii_grid(args.raster_b)
     if grid_a != grid_b:

@@ -27,9 +27,9 @@ _FIELD_SEP = re.compile(r"[,\s]+")
 # The ASCII controls that str.splitlines() ends a line at but np.loadtxt
 # reads as field whitespace.
 CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# Bytes that send XYZ text to the per-line parser: comment and comma
-# syntax, and the control line ends.
-_NOT_BULK = (b"#", b",", *CONTROL_LINE_ENDS)
+# the ASCII line boundaries of str.splitlines(); np.loadtxt reads only
+# LF and CRLF as line ends, and the controls among them as whitespace
+_LINE_END = re.compile(rb"\r\n|[\n\r" + b"".join(CONTROL_LINE_ENDS) + rb"]")
 # cells per block that format_6f_blocks turns into text at once
 _FORMAT_CHUNK_CELLS = 1 << 16
 # the tokens of False and True, each with its separator
@@ -111,22 +111,40 @@ def _drop_nonfinite(xyz: np.ndarray) -> tuple[np.ndarray, int]:
     return xyz, dropped
 
 
+def _lf_lines(data: bytes) -> bytes:
+    """``data`` with every line boundary np.loadtxt would misread as LF.
+
+    Text with none, such as LF-only or CRLF-only text, is returned as it
+    is; only text holding a CR pays for counting its CRs against its CRLFs.
+    """
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if lone_cr or any(c in data for c in CONTROL_LINE_ENDS):
+        return _LINE_END.sub(b"\n", data)
+    return data
+
+
+def loadtxt_f64(text, usecols=None) -> np.ndarray:
+    """Rows of whitespace-separated numbers as a 2-D float64 array.
+
+    ``text`` is a binary stream, read from its position on, whose lines
+    end as ``_lf_lines`` leaves them.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blank input
+        return np.loadtxt(text, dtype=np.float64, usecols=usecols, ndmin=2, comments=None)
+
+
 def _parse_xyz_bulk(data: bytes) -> np.ndarray | None:
     """All points of plain whitespace-separated text, or None.
 
     None means the input needs the per-line parser: it has a non-ASCII
-    byte, a comment or comma, a line break loadtxt does not see, or a
-    line loadtxt cannot read as at least three numbers.
+    byte, a comment or comma, or a line loadtxt cannot read as at least
+    three numbers.  Every line break of the per-line parser ends a line here too.
     """
-    if not data.isascii() or any(tok in data for tok in _NOT_BULK):
+    if not data.isascii() or b"#" in data or b"," in data:
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty input
-            return np.loadtxt(
-                io.BytesIO(data), dtype=np.float64, usecols=(0, 1, 2),
-                ndmin=2, comments=None,
-            )
+        return loadtxt_f64(io.BytesIO(_lf_lines(data)), usecols=(0, 1, 2))
     except ValueError:
         return None
 

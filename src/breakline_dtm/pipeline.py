@@ -192,6 +192,8 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     dtm = timer.run("apply_water", lambda: apply_water(dtm_land, wmap))
 
     nonvoid = int((sparse.occupancy > 0).sum())
+    # pixels by source code: SOURCE_MEASURED, SOURCE_INTERPOLATED, SOURCE_WATER
+    source_px = np.bincount(dtm.source.ravel(), minlength=3).tolist()
     report = {
         "parameters": cfg.parameter_echo(),
         "input": {**points, "out_of_bounds": sparse.oob_dropped},
@@ -212,6 +214,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "segment_count": len(wmap.segments),
             "water_px": int(wmap.is_water.sum()),
         },
+        "source_px": dict(zip(("measured", "interpolated", "water"), source_px)),
         "timings_s": {k: round(v, 6) for k, v in timer.timings.items()},
         "peak_rss_mb": timer.peak_rss_mb,
     }

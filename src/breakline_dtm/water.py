@@ -80,24 +80,18 @@ def water_threshold(occupancy: np.ndarray, wp: WaterParams) -> int:
 def window_sums(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Edge-truncated centered window sums and visible-pixel counts.
 
-    Uses an integral image of ``arr`` padded with ``window // 2`` zeros on
-    every side, so every window is a plain slice of it and sums are exact
-    for integer input.
+    The sums are two zero-padded correlations with a window of ones, one
+    along each axis.  scipy adds in float64, which is exact while every
+    partial sum stays below 2**53; no window sum of an occupancy raster
+    can exceed its point count, far below that bound.
     """
+    from scipy import ndimage
+
+    ones = np.ones(window)
+    sums = ndimage.correlate1d(arr, ones, axis=1, output=np.int64, mode="constant")
+    ndimage.correlate1d(sums, ones, axis=0, output=sums, mode="constant")
     half = window // 2
     nrows, ncols = arr.shape
-    sat = np.zeros((nrows + window, ncols + window), dtype=np.int64)
-    core = sat[half + 1 : half + 1 + nrows, half + 1 : half + 1 + ncols]
-    np.cumsum(arr, axis=0, dtype=np.int64, out=core)
-    np.cumsum(core, axis=1, out=core)
-    # the zero padding past the last row and column adds nothing to the sums
-    sat[half + 1 + nrows :, half + 1 : half + 1 + ncols] = core[-1]
-    sat[:, half + 1 + ncols :] = sat[:, half + ncols : half + ncols + 1]
-
-    sums = sat[window:, window:] - sat[:-window, window:]
-    sums -= sat[window:, :-window]
-    sums += sat[:-window, :-window]
-    del sat, core
     r = np.arange(nrows)
     c = np.arange(ncols)
     visible = np.outer(

@@ -11,14 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from breakline_dtm import asciigrid, ingest
-from breakline_dtm.asciigrid import (
-    _lf_lines,
-    format_ascii_grid,
-    read_ascii_grid,
-    write_ascii_grid,
-)
+from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.errors import HeaderMismatchError
-from breakline_dtm.ingest import CONTROL_LINE_ENDS, PointCloud, write_points_xyz
+from breakline_dtm.ingest import CONTROL_LINE_ENDS, PointCloud, _lf_lines, write_points_xyz
 from breakline_dtm.raster import GridSpec
 
 from oracles import per_cell_ascii_grid, per_cell_xyz_text, per_line_ascii_grid
@@ -282,15 +277,20 @@ def _read_in_blocks(path, block_bytes):
     return back, grid
 
 
-@settings(max_examples=100, deadline=None)
-@given(rasters, st.data(), st.sampled_from(BLOCK_BYTES))
-def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_bytes):
+def _drawn_grid_text(values, data) -> str:
+    """The grid text of ``values`` with drawn field separators and line ends."""
     grid = GridSpec(-3.5, 7.25, 0.5, values.shape[1], values.shape[0])
     lines = format_ascii_grid(values, grid).split("\n")
     # every ASCII line boundary of str.splitlines(), mixed within a file
     eols = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
     sep = data.draw(st.sampled_from([" ", "\t", " \x1f"]))
-    text = "".join(ln.replace(" ", sep) + data.draw(eols) for ln in lines[:-1])
+    return "".join(ln.replace(" ", sep) + data.draw(eols) for ln in lines[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rasters, st.data(), st.sampled_from(BLOCK_BYTES))
+def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_bytes):
+    text = _drawn_grid_text(values, data)
     path = tmp_path_factory.mktemp("grid") / "g.asc"
     path.write_bytes(text.encode("ascii"))
     back, back_grid = _read_in_blocks(path, block_bytes)
@@ -298,6 +298,41 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_byt
     assert (back_grid.origin_x, back_grid.origin_y, back_grid.cell,
             back_grid.ncols, back_grid.nrows) == geometry
     assert back.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rasters, st.data())
+def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factory, values, data):
+    # a valid grid with a few bytes inserted or deleted at random: each
+    # block size reads what the whole-file pass reads, or gives up where
+    # that pass reports a fault
+    raw = _drawn_grid_text(values, data).encode("ascii")
+    lines = [ln + b"\n" for ln in _lf_lines(raw).split(b"\n")]
+    inserts = st.sampled_from([
+        b" ", b"\n", b"\r", b"\x0b", b"x", b"1", b"-9999", b"nan", b"\xe9",
+        *lines[:6],  # a header line
+        lines[-2],  # a data row
+    ])
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        if data.draw(st.booleans()):
+            raw = raw[:at] + data.draw(inserts) + raw[at:]
+        else:
+            raw = raw[:at] + raw[at + data.draw(st.integers(1, 4)):]
+    path = tmp_path_factory.mktemp("grid") / "g.asc"
+    path.write_bytes(raw)
+    try:
+        whole = asciigrid._read_whole(path)
+    except HeaderMismatchError:
+        whole = None
+    for block_bytes in BLOCK_BYTES:
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+                open(path, "rb") as fh:
+            blocks = asciigrid._read_blocks(path, fh)
+        if whole is None or blocks is None:
+            assert blocks is whole, (raw, block_bytes)
+        else:
+            assert blocks[0].tobytes() == whole[0].tobytes() and blocks[1] == whole[1]
 
 
 @pytest.mark.parametrize("text", [b"", b"1 2", b"1 2\n3 4\n", b"1 2\r\n3 4\r\n", b"\r\n\r\n"])

@@ -312,6 +312,10 @@ def test_xyz_fast_path_matches_per_line_parser(data, strict):
 
 def test_xyz_bulk_path_taken_only_on_plain_text():
     assert _parse_xyz_bulk(b"1 2 3\r\n4\t5 6 extra\n\n") is not None
+    # every ASCII line boundary of str.splitlines() is read as LF
+    for eol in (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"):
+        xyz = _parse_xyz_bulk(b"1 2 3" + eol + b"4 5 6\r\n7 8 9" + eol)
+        assert xyz is not None and xyz.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     for data in (b"# c\n1 2 3\n", b"1,2,3\n", b"1 2 3\n4 5\n", b"1 2 3\xc3\xa9\n"):
         assert _parse_xyz_bulk(data) is None
 

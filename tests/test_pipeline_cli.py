@@ -332,6 +332,11 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
         regions["ground_px"] + regions["nonground_px"] - break_px
     )
     assert rules["area_above_a2"]["regions"] > 0 and rules["area_below_a1"]["regions"] > 0
+    # every pixel of the full run's DTM by source, water as the water map counts it
+    source_px = report["source_px"]
+    assert set(source_px) == {"measured", "interpolated", "water"}
+    assert sum(source_px.values()) == report["density"]["total_cells"]
+    assert source_px["water"] == report["water"]["water_px"]
     dtm, grid = read_ascii_grid(out_dir / "dtm.asc")
     assert grid.shape == (240, 240)
     # flat scene: away from the building the DTM reads the plane
@@ -382,7 +387,7 @@ def test_cli_compare(tmp_path):
         assert line.split(",")[3] == "2.500000"
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # missing file -> input error
     assert run_cli(["dtm", tmp_path / "missing.xyz"]) == 2
     # empty input -> input error
@@ -394,6 +399,14 @@ def test_cli_exit_codes(tmp_path):
     pts.write_text("0 0 1\n1 0 1\n0 1 1\n1 1 1\n")
     assert run_cli(["dtm", pts, "--out-dir", tmp_path, "--slope-threshold", "95"]) == 3
     assert run_cli(["water", pts, "--out-dir", tmp_path, "--window", "4"]) == 3
+    # a negative --top is refused before any grid is read; --top 0 prints no tile
+    grid = tmp_path / "g.asc"
+    write_ascii_grid(np.zeros((8, 8)), GridSpec(0, 0, 1.0, 8, 8), grid)
+    compare = ["compare", grid, grid, "--tile-px", "4", "--out", tmp_path / "t.csv"]
+    assert run_cli([*compare, "--top", "-2"]) == 3
+    assert "--top must be >= 0, got -2" in capsys.readouterr().err
+    assert run_cli([*compare, "--top", "0"]) == 0
+    assert "#1 tile" not in capsys.readouterr().out
 
 
 def _grid_header(ncols, nrows):

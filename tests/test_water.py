@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -62,6 +62,8 @@ def test_window_sums_match_slicing_oracle():
     st.sampled_from([3, 5, 9, 15]),
     st.integers(0, 90),
 )
+# counts at the int32 maximum: every sum is exact, and none wraps
+@example(np.full((14, 14), np.iinfo(np.int32).max, np.int32), 15, 90)
 def test_window_sums_and_mask_match_slicing_oracle_on_any_shape(occ, window, threshold):
     # windows wider than the raster, single rows and columns, int32 counts
     sums, vis = window_sums(occ, window)
