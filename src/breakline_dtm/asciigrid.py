@@ -137,15 +137,17 @@ def _line_blocks(fh, size: int) -> Iterator[bytes]:
         yield carry
 
 
-def _read_blocks(path, fh) -> tuple[np.ndarray, GridSpec] | None:
-    """Read a grid block by block into one array; None at the first irregularity.
+def _read_blocks(path, fh) -> Iterator:
+    """The grid a file declares, then its body as ``(rows, values)`` pairs.
 
     Each block of whole lines is checked and parsed as ``_read_whole``
-    checks and parses the whole file, and its rows go bottom-up into
-    the raster, so neither the file nor a flipped copy is ever held.
-    Anything ``_read_whole`` might reject (a non-ASCII byte, a bad
-    header, a cell loadtxt refuses, a wrong width or row count) returns
-    None, so that it reports the fault as it always has.
+    checks and parses the whole file; ``values`` are its rows bottom-up,
+    for ``raster[rows]`` of a raster on the grid, row 0 south, so neither
+    the file nor a flipped copy is ever held.  At anything
+    ``_read_whole`` might reject (a non-ASCII byte, a bad header, a cell
+    loadtxt refuses, a wrong width or row count) the file is handed to
+    ``_read_whole``, which raises the fault as it always has; a caller
+    may have used the blocks before it.  The caller owns ``fh``.
     """
     blocks = _line_blocks(fh, _READ_BLOCK_BYTES)
     head, header, offset = b"", {}, 0
@@ -154,31 +156,48 @@ def _read_blocks(path, fh) -> tuple[np.ndarray, GridSpec] | None:
         try:
             header, offset = _parse_header(path, head)
         except (UnicodeDecodeError, HeaderMismatchError):
-            return None
+            header = {}  # so that _grid_of fails and _read_whole reports it
+            break
         if len(header) == 6 or offset < len(head):
             break  # the header is whole, or a line that is none ends it
     try:
         grid = _grid_of(path, header)
     except HeaderMismatchError:
-        return None
+        yield from _whole_rows(path, None)
+        return
+    yield grid
     nodata = header["nodata_value"]
-    raster = np.empty(grid.shape)
-    row = grid.nrows  # rows above this one are still to come
+    row = grid.nrows  # rows above this one have been yielded
     for body in itertools.chain([head[offset:]], blocks):
-        if not body.isascii():
-            return None
-        try:
-            data = loadtxt_f64(io.BytesIO(_lf_lines(body)))
-        except ValueError:
-            return None
-        if data.size == 0:
+        data = None
+        if body.isascii():
+            try:
+                data = loadtxt_f64(io.BytesIO(_lf_lines(body)))
+            except ValueError:
+                pass
+        if data is not None and data.size == 0:
             continue
-        if data.shape[1] != grid.ncols or data.shape[0] > row:
-            return None
+        if data is None or data.shape[1] != grid.ncols or data.shape[0] > row:
+            yield from _whole_rows(path, row)
+            return
         data[data == nodata] = np.nan
-        raster[row - data.shape[0] : row] = data[::-1]
+        yield slice(row - data.shape[0], row), data[::-1]
         row -= data.shape[0]
-    return (raster, grid) if row == 0 else None
+    if row:
+        yield from _whole_rows(path, row)
+
+
+def _whole_rows(path, row: int | None) -> Iterator:
+    """``_read_blocks``' fallback: ``_read_whole`` raises the file's fault.
+
+    Should it read the file after all, the grid (if ``row`` is None, none
+    was yielded yet) and the rows below ``row`` come from its raster.
+    """
+    values, grid = _read_whole(path)
+    if row is None:
+        yield grid
+        row = grid.nrows
+    yield slice(0, row), values[:row]
 
 
 def _read_whole(path) -> tuple[np.ndarray, GridSpec]:
@@ -228,5 +247,9 @@ def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
     the file.
     """
     with open(Path(path), "rb") as fh:
-        read = _read_blocks(path, fh)
-    return read if read is not None else _read_whole(path)
+        blocks = _read_blocks(path, fh)
+        grid = next(blocks)
+        raster = np.empty(grid.shape)
+        for rows, values in blocks:
+            raster[rows] = values
+    return raster, grid

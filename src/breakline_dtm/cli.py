@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asciigrid import read_ascii_grid, write_ascii_grid
+from .asciigrid import _read_blocks, read_ascii_grid, write_ascii_grid
 from .errors import InputDataError, ParameterError, PipelineError
 from .groundfilter import FilterParams, region_report_rows
 from .ingest import BBox, bounds, read_points, write_points_xyz
@@ -242,20 +242,31 @@ def _cmd_water(args) -> int:
 def _cmd_compare(args) -> int:
     if args.top < 0:
         raise ParameterError(f"--top must be >= 0, got {args.top}")
-    arr_a, grid_a = read_ascii_grid(args.raster_a)
-    arr_b, grid_b = read_ascii_grid(args.raster_b)
-    if grid_a != grid_b:
-        raise InputDataError(f"grids differ: {grid_a} vs {grid_b}")
+    # one float raster is held: b is subtracted from a and the mask reduced
+    # to bool block by block as they are read; a fault found in a body
+    # raises before anything is printed or written
+    diff, grid = read_ascii_grid(args.raster_a)
+    with open(args.raster_b, "rb") as fh:
+        blocks = _read_blocks(args.raster_b, fh)
+        grid_b = next(blocks)
+        if grid_b != grid:
+            raise InputDataError(f"grids differ: {grid} vs {grid_b}")
+        for rows, values in blocks:
+            diff[rows] -= values
     exclude = None
     if args.mask:
-        mask_arr, mask_grid = read_ascii_grid(args.mask)
-        if mask_grid != grid_a:
-            raise InputDataError("mask grid differs from the compared rasters")
-        # NaN (NODATA) is compared, +-inf excluded; the float mask goes
-        # before the comparison
-        exclude = np.abs(mask_arr, out=mask_arr) > 0
-        del mask_arr
-    report = compare_tiled(arr_a, arr_b, exclude=exclude, tile_px=args.tile_px)
+        exclude = np.empty(grid.shape, dtype=bool)
+        with open(args.mask, "rb") as fh:
+            blocks = _read_blocks(args.mask, fh)
+            if next(blocks) != grid:
+                raise InputDataError("mask grid differs from the compared rasters")
+            for rows, values in blocks:
+                # NaN (NODATA) is compared, +-inf excluded
+                exclude[rows] = np.abs(values) > 0
+    # x - 0.0 is x bit for bit for every float64, so each tile's
+    # difference is the one a - b gives
+    zero = np.broadcast_to(0.0, grid.shape)
+    report = compare_tiled(diff, zero, exclude=exclude, tile_px=args.tile_px)
     write_tile_csv(report, args.out)
     if report.global_mae is None:
         print("no valid pixels to compare")
@@ -274,7 +285,7 @@ def _cmd_compare(args) -> int:
 def _cmd_synth(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scn = load_scene(args.scene)
+    scn = load_scene(Path(args.scene))  # a path, never scene text
     pc = sample_points(scn, density=args.density, seed=args.seed)
     write_points_xyz(pc, out / "points.xyz")
     grid = make_grid_spec(scn.extent, args.cell)

@@ -29,7 +29,13 @@ from .groundfilter import (
     region_stats,
 )
 from .ingest import BBox, PointCloud, bounds, read_points
-from .interp import DtmRaster, interpolate_nonground
+from .interp import (
+    SOURCE_INTERPOLATED,
+    SOURCE_MEASURED,
+    SOURCE_WATER,
+    DtmRaster,
+    interpolate_nonground,
+)
 from .raster import Dsm, GridSpec, SparseDsm, fill_voids_nearest, make_grid_spec, rasterize_min
 from .slope import BreakMask, SlopeMap, break_line_mask, slope_map
 from .water import (
@@ -192,8 +198,15 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     dtm = timer.run("apply_water", lambda: apply_water(dtm_land, wmap))
 
     nonvoid = int((sparse.occupancy > 0).sum())
-    # pixels by source code: SOURCE_MEASURED, SOURCE_INTERPOLATED, SOURCE_WATER
-    source_px = np.bincount(dtm.source.ravel(), minlength=3).tolist()
+    # counted code by code on the uint8 raster: bincount would cast it to int64
+    source_px = {
+        name: int(np.count_nonzero(dtm.source == code))
+        for name, code in (
+            ("measured", SOURCE_MEASURED),
+            ("interpolated", SOURCE_INTERPOLATED),
+            ("water", SOURCE_WATER),
+        )
+    }
     report = {
         "parameters": cfg.parameter_echo(),
         "input": {**points, "out_of_bounds": sparse.oob_dropped},
@@ -214,7 +227,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "segment_count": len(wmap.segments),
             "water_px": int(wmap.is_water.sum()),
         },
-        "source_px": dict(zip(("measured", "interpolated", "water"), source_px)),
+        "source_px": source_px,
         "timings_s": {k: round(v, 6) for k, v in timer.timings.items()},
         "peak_rss_mb": timer.peak_rss_mb,
     }

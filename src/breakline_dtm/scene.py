@@ -23,6 +23,7 @@ feature, the rest are key=value pairs.  ``#`` starts a comment.
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -301,7 +302,7 @@ def load_scene(source) -> Scene:
         elif isinstance(source, str):
             text = source
         else:
-            raise FileNotFoundError(source)
+            raise FileNotFoundError(errno.ENOENT, "no such scene file", str(source))
 
     extent: BBox | None = None
     density = 4.0

@@ -304,8 +304,8 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_byt
 @given(rasters, st.data())
 def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factory, values, data):
     # a valid grid with a few bytes inserted or deleted at random: each
-    # block size reads what the whole-file pass reads, or gives up where
-    # that pass reports a fault
+    # block size reads what the whole-file pass reads, without that pass,
+    # or raises the fault that pass reports
     raw = _drawn_grid_text(values, data).encode("ascii")
     lines = [ln + b"\n" for ln in _lf_lines(raw).split(b"\n")]
     inserts = st.sampled_from([
@@ -323,15 +323,21 @@ def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factor
     path.write_bytes(raw)
     try:
         whole = asciigrid._read_whole(path)
-    except HeaderMismatchError:
-        whole = None
+    except HeaderMismatchError as exc:
+        whole = str(exc)
     for block_bytes in BLOCK_BYTES:
+        read_whole = mock.Mock(wraps=asciigrid._read_whole)
         with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
-                open(path, "rb") as fh:
-            blocks = asciigrid._read_blocks(path, fh)
-        if whole is None or blocks is None:
-            assert blocks is whole, (raw, block_bytes)
+                mock.patch.object(asciigrid, "_read_whole", read_whole):
+            try:
+                blocks = read_ascii_grid(path)
+            except HeaderMismatchError as exc:
+                blocks = str(exc)
+        if isinstance(whole, str):
+            assert blocks == whole, (raw, block_bytes)
         else:
+            # a file the whole-file pass reads is read by the blocks alone
+            assert not read_whole.called, (raw, block_bytes)
             assert blocks[0].tobytes() == whole[0].tobytes() and blocks[1] == whole[1]
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from breakline_dtm import cli
 from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
 from breakline_dtm.ingest import _read_las
@@ -32,10 +33,14 @@ POINTS = 1_440_000  # 4 points per square metre
 # takes 8.9 MB whole (the bytes, loadtxt's array and a flipped copy) and
 # 4.2 MB streamed in blocks; compare_tiled with a mask and 250 px tiles
 # takes 3.8 MB with full-size difference and validity rasters and 1.0 MB
-# tile by tile
+# tile by tile.  The whole compare command on three such grids (a mask
+# with 20 % non-zero cells, 250 px tiles) takes 9.8 MB with a float
+# raster of each grid and 4.7 MB with one difference raster and a bool
+# mask built as b and the mask are read
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
+    "compare": 6.5,
     "read_las": 60.0,
     "bin_min_count": 40.0,
     "fill_voids_nearest": 18.0,
@@ -89,6 +94,13 @@ def _case(name, tmp_path):
     if name == "compare_tiled":
         exclude = rng.random(GRID.shape) < 0.2
         return compare_tiled, _elevations(rng), _elevations(rng), exclude, 250
+    if name == "compare":
+        paths = [tmp_path / f"{n}.asc" for n in "abm"]
+        write_ascii_grid(_elevations(rng), GRID, paths[0])
+        write_ascii_grid(_elevations(rng), GRID, paths[1])
+        write_ascii_grid(rng.random(GRID.shape) < 0.2, GRID, paths[2])
+        argv = ["compare", *map(str, paths[:2]), "--mask", str(paths[2]), "--tile-px", "250"]
+        return cli.main, [*argv, "--out", str(tmp_path / "tiles.csv")]
     if name == "read_las":
         ixyz = rng.integers(0, 300_000, size=(POINTS, 3))
         return _read_las, make_las(ixyz, scale=(0.001,) * 3), False

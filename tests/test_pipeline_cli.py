@@ -388,8 +388,11 @@ def test_cli_compare(tmp_path):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # missing file -> input error
+    # missing file -> input error, also for a scene path
     assert run_cli(["dtm", tmp_path / "missing.xyz"]) == 2
+    assert run_cli(["synth", tmp_path / "missing.txt", "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(tmp_path / "missing.txt") in err
     # empty input -> input error
     empty = tmp_path / "empty.xyz"
     empty.write_text("")
@@ -417,16 +420,26 @@ def _grid_header(ncols, nrows):
 
 
 def _compare_bad_grid(tmp_path, capsys, payload):
-    """Exit code and stderr of compare on a faulty grid, the same at every read block size."""
+    """Exit code and stderr of compare on a faulty grid.
+
+    The same at every read block size, with the grid compared or as the
+    mask; a fault found after part of the file was used still prints
+    and writes nothing.
+    """
     grid = GridSpec(0, 0, 1.0, 3, 2)
-    write_ascii_grid(np.zeros((2, 3)), grid, tmp_path / "a.asc")
+    a = tmp_path / "a.asc"
+    write_ascii_grid(np.zeros((2, 3)), grid, a)
     bad = tmp_path / "bad.asc"
     bad.write_bytes(payload)
+    out = tmp_path / "t.csv"
     results = set()
-    for block_bytes in BLOCK_BYTES:
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
-            code = run_cli(["compare", tmp_path / "a.asc", bad, "--out", tmp_path / "t.csv"])
-        results.add((code, capsys.readouterr().err))
+    for argv in ([a, bad], [a, a, "--mask", bad]):
+        for block_bytes in BLOCK_BYTES:
+            with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+                code = run_cli(["compare", *argv, "--out", out])
+            printed = capsys.readouterr()
+            assert printed.out == "" and not out.exists(), (argv, block_bytes)
+            results.add((code, printed.err))
     assert len(results) == 1, results
     return results.pop()
 
@@ -457,6 +470,20 @@ def test_cli_compare_bad_grid_header_is_input_error(tmp_path, capsys):
         assert code == 2, err
         assert err.startswith("input error: ") and "bad.asc: header " + key in err
         assert value in err.split(key, 1)[1]
+
+
+def test_cli_compare_other_grid_is_reported_before_its_body(tmp_path, capsys):
+    # the header is checked against a's grid before the body is read, so
+    # a file on another grid is reported as such, even with a faulty body
+    a = tmp_path / "a.asc"
+    write_ascii_grid(np.zeros((2, 3)), GridSpec(0, 0, 1.0, 3, 2), a)
+    other = tmp_path / "other.asc"
+    other.write_text(_grid_header(3, 2).replace("xllcorner 0", "xllcorner 5") + "1 2 3\n4 5\n")
+    assert run_cli(["compare", a, other, "--out", tmp_path / "t.csv"]) == 2
+    assert capsys.readouterr().err.startswith("input error: grids differ: ")
+    assert run_cli(["compare", a, a, "--mask", other, "--out", tmp_path / "t.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: mask grid differs from the compared rasters\n"
 
 
 def test_cli_dtm_from_las_file(tmp_path):
@@ -508,7 +535,8 @@ def test_cli_compare_with_mask(tmp_path):
     assert row[2] == "32" and row[3] == "3.000000"
 
 
-def test_cli_compare_mask_excludes_every_nonzero_but_nodata(tmp_path, capsys):
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_cli_compare_mask_excludes_every_nonzero_but_nodata(tmp_path, capsys, block_bytes):
     # NODATA reads as NaN and is compared like 0; inf, -inf and any other
     # non-zero value exclude the cell
     rng = np.random.default_rng(5)
@@ -525,7 +553,8 @@ def test_cli_compare_mask_excludes_every_nonzero_but_nodata(tmp_path, capsys):
     (tmp_path / "m.asc").write_text("\n".join(header + rows) + "\n")
     out = tmp_path / "t.csv"
     argv = ["compare", tmp_path / "a.asc", tmp_path / "b.asc", "--mask", tmp_path / "m.asc"]
-    assert run_cli([*argv, "--tile-px", "4", "--out", out]) == 0
+    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+        assert run_cli([*argv, "--tile-px", "4", "--out", out]) == 0
 
     a, _ = read_ascii_grid(tmp_path / "a.asc")
     b, _ = read_ascii_grid(tmp_path / "b.asc")
