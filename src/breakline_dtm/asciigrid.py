@@ -8,9 +8,11 @@ format stores the top row first, so rows are flipped on the way through.
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import math
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -83,17 +85,6 @@ def _parse_header(path, data: bytes) -> tuple[dict[str, float], int]:
     return header, pos
 
 
-def _ragged_row(body: io.BytesIO, offset: int, ncols: int) -> str | None:
-    """Describe the first non-blank body line without ``ncols`` values."""
-    body.seek(offset)
-    nonblank = (ln for ln in body if ln.strip())
-    for rowno, line in enumerate(nonblank, start=1):
-        found = len(line.split())
-        if found != ncols:
-            return f"data row {rowno} has {found} values, header declares ncols {ncols}"
-    return None
-
-
 def _grid_of(path, header: dict[str, float]) -> GridSpec:
     """The grid a parsed header declares, or HeaderMismatchError naming the fault."""
     missing = [k for k in _HEADER_KEYS if k not in header]
@@ -137,114 +128,107 @@ def _line_blocks(fh, size: int) -> Iterator[bytes]:
         yield carry
 
 
+def _ascii_blocks(path, fh) -> Iterator[bytes]:
+    """``_line_blocks`` of ``fh`` with LF line ends (``_lf_lines``).
+
+    A non-ASCII byte raises HeaderMismatchError with its offset in the file.
+    """
+    offset = 0
+    for block in _line_blocks(fh, _READ_BLOCK_BYTES):
+        try:
+            if not block.isascii():
+                block.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise HeaderMismatchError(
+                f"{path}: non-ASCII byte 0x{block[exc.start]:02x} at offset {offset + exc.start}"
+            ) from None
+        offset += len(block)
+        yield _lf_lines(block)
+
+
 def _read_blocks(path, fh) -> Iterator:
     """The grid a file declares, then its body as ``(rows, values)`` pairs.
 
-    Each block of whole lines is checked and parsed as ``_read_whole``
-    checks and parses the whole file; ``values`` are its rows bottom-up,
-    for ``raster[rows]`` of a raster on the grid, row 0 south, so neither
-    the file nor a flipped copy is ever held.  At anything
-    ``_read_whole`` might reject (a non-ASCII byte, a bad header, a cell
-    loadtxt refuses, a wrong width or row count) the file is handed to
-    ``_read_whole``, which raises the fault as it always has; a caller
-    may have used the blocks before it.  The caller owns ``fh``.
+    Each block of whole lines is parsed with loadtxt; ``values`` are its
+    rows bottom-up, for ``raster[rows]`` of a raster on the grid, row 0
+    south, so neither the file nor a flipped copy is ever held.  After the
+    first fault the rest of the file is still read, block by block and
+    without keeping values, so that the fault raised is the one a parse of
+    the whole file would name first: a non-ASCII byte anywhere, then the
+    header, then (if loadtxt fails on the body) the first row without
+    ``ncols`` values or else the first non-numeric cell, then the row
+    count, then the shape.  A caller may have used the blocks before the
+    fault is raised.  The caller owns ``fh``.
     """
-    blocks = _line_blocks(fh, _READ_BLOCK_BYTES)
+    blocks = _ascii_blocks(path, fh)
     head, header, offset = b"", {}, 0
-    for block in blocks:
-        head += _lf_lines(block)
-        try:
-            header, offset = _parse_header(path, head)
-        except (UnicodeDecodeError, HeaderMismatchError):
-            header = {}  # so that _grid_of fails and _read_whole reports it
-            break
-        if len(header) == 6 or offset < len(head):
-            break  # the header is whole, or a line that is none ends it
     try:
+        for text in blocks:
+            head += text
+            header, offset = _parse_header(path, head)
+            if len(header) == 6 or offset < len(head):
+                break  # the header is whole, or a line that is none ends it
         grid = _grid_of(path, header)
     except HeaderMismatchError:
-        yield from _whole_rows(path, None)
-        return
+        collections.deque(blocks, maxlen=0)  # a non-ASCII byte further on comes first
+        raise
     yield grid
-    nodata = header["nodata_value"]
-    row = grid.nrows  # rows above this one have been yielded
-    for body in itertools.chain([head[offset:]], blocks):
-        data = None
-        if body.isascii():
-            try:
-                data = loadtxt_f64(io.BytesIO(_lf_lines(body)))
-            except ValueError:
-                pass
-        if data is not None and data.size == 0:
-            continue
-        if data is None or data.shape[1] != grid.ncols or data.shape[0] > row:
-            yield from _whole_rows(path, row)
-            return
-        data[data == nodata] = np.nan
-        yield slice(row - data.shape[0], row), data[::-1]
-        row -= data.shape[0]
-    if row:
-        yield from _whole_rows(path, row)
-
-
-def _whole_rows(path, row: int | None) -> Iterator:
-    """``_read_blocks``' fallback: ``_read_whole`` raises the file's fault.
-
-    Should it read the file after all, the grid (if ``row`` is None, none
-    was yielded yet) and the rows below ``row`` come from its raster.
-    """
-    values, grid = _read_whole(path)
-    if row is None:
-        yield grid
-        row = grid.nrows
-    yield slice(0, row), values[:row]
-
-
-def _read_whole(path) -> tuple[np.ndarray, GridSpec]:
-    """``read_ascii_grid`` on the file held whole: the path that reports faults."""
-    raw = Path(path).read_bytes()
-    try:
-        if not raw.isascii():
-            raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise HeaderMismatchError(
-            f"{path}: non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}"
-        ) from None
-    raw = _lf_lines(raw)
-    header, offset = _parse_header(path, raw)
-    grid = _grid_of(path, header)
     nrows, ncols = grid.shape
-
-    body = io.BytesIO(raw)
-    body.seek(offset)
-    try:
-        data = loadtxt_f64(body)
-    except ValueError as exc:
-        ragged = _ragged_row(body, offset, ncols)
+    nodata = header["nodata_value"]
+    rows = 0  # non-blank body rows so far: the rows loadtxt counts
+    widths: set[int] = set()  # of the blocks loadtxt read
+    failed = False  # loadtxt would fail on the whole body
+    ragged = bad_cell = None  # the first row without ncols values, the first bad cell
+    for text in itertools.chain([head[offset:]], blocks):
+        try:
+            data = loadtxt_f64(io.BytesIO(text))
+        except ValueError as exc:
+            failed = True
+            # str.split() splits, and skips blank lines, as loadtxt does: rows stays its count
+            lines = text.decode("ascii").split("\n")
+            counts = [n for n in map(len, map(str.split, lines)) if n]
+            at = next((i for i, n in enumerate(counts) if n != ncols), None)
+            if at is not None:
+                ragged = ragged or f"data row {rows + at + 1} has {counts[at]} values"
+            elif bad_cell is None:  # loadtxt numbers the block's rows from 0
+                bad_cell = re.sub(r" at row (\d+),", lambda m: f" at row {rows + int(m[1])},",
+                                  str(exc))
+            rows += len(counts)
+            continue
+        if data.size == 0:
+            continue
+        widths.add(data.shape[1])
+        failed |= len(widths) > 1
+        if data.shape[1] != ncols:
+            ragged = ragged or f"data row {rows + 1} has {data.shape[1]} values"
+        elif not (ragged or failed) and rows + data.shape[0] <= nrows:
+            data[data == nodata] = np.nan
+            yield slice(nrows - rows - data.shape[0], nrows - rows), data[::-1]
+        rows += data.shape[0]
+    if failed and ragged:
+        raise HeaderMismatchError(f"{path}: {ragged}, header declares ncols {ncols}")
+    if failed:
+        raise HeaderMismatchError(f"{path}: non-numeric cell value: {bad_cell}")
+    if rows != nrows:
+        raise HeaderMismatchError(f"{path}: header declares {nrows} rows but file has {rows}")
+    if widths != {ncols}:
         raise HeaderMismatchError(
-            f"{path}: {ragged or f'non-numeric cell value: {exc}'}"
-        ) from None
-    if data.shape[0] != nrows:
-        raise HeaderMismatchError(
-            f"{path}: header declares {nrows} rows but file has {data.shape[0]}"
+            f"{path}: header declares {nrows}x{ncols} but data is ({nrows}, {widths.pop()})"
         )
-    if data.shape != (nrows, ncols):
-        raise HeaderMismatchError(
-            f"{path}: header declares {nrows}x{ncols} but data is {data.shape}"
-        )
-    data[data == header["nodata_value"]] = np.nan
-    return np.flipud(data).copy(), grid
 
 
 def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
     """Read a raster back; NODATA cells come back as NaN.
 
-    The file is read in blocks of about ``_READ_BLOCK_BYTES`` into one
-    C-contiguous array, row 0 south.  A malformed file (a non-ASCII
+    The file is read once, in blocks of about ``_READ_BLOCK_BYTES``, into
+    one C-contiguous array, row 0 south.  A malformed file (a non-ASCII
     byte, a missing, non-numeric or non-finite header value, a non-integer or
     non-positive ncols/nrows, a non-positive cellsize, wrong row or
     column counts, a non-numeric cell) raises HeaderMismatchError naming
-    the file.
+    the file.  Of several faults, the one named is the first of: a
+    non-ASCII byte, the header, a row without ncols values or else a
+    non-numeric cell (where loadtxt cannot read the body as one table),
+    the row count, the shape.
     """
     with open(Path(path), "rb") as fh:
         blocks = _read_blocks(path, fh)

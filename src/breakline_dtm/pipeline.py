@@ -94,6 +94,25 @@ class PipelineResult:
 _MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB.
+
+    On Linux, ``VmHWM``: the peak of this program alone, where
+    ``ru_maxrss`` also keeps that of the process it was forked from.
+    Elsewhere, ``ru_maxrss``.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:  # no procfs
+        pass
+    import resource  # here, so that only a pipeline run loads it
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_BYTES / 2**20
+
+
 class _StageTimer:
     """Wall time of each stage, and the process's peak RSS when it ended."""
 
@@ -109,10 +128,7 @@ class _StageTimer:
             exc.args = (f"[stage {name}] {exc}",)
             raise
         self.timings[name] = time.perf_counter() - start
-        import resource  # here, so that only a pipeline run loads it
-
-        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        self.peak_rss_mb[name] = round(maxrss * _MAXRSS_BYTES / 2**20, 3)
+        self.peak_rss_mb[name] = round(_peak_rss_mb(), 3)
         return result
 
 

@@ -5,13 +5,19 @@ loops, exhaustive search) and stays independent of the library code it
 checks.
 """
 
+import io
 import math
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
 from scipy.spatial import Delaunay
+
+from breakline_dtm.asciigrid import _grid_of, _parse_header
+from breakline_dtm.errors import HeaderMismatchError
+from breakline_dtm.ingest import _lf_lines, loadtxt_f64
 
 
 def bfs_label_4connected(mask):
@@ -438,3 +444,47 @@ def per_line_ascii_grid(text):
     data[data == header["nodata_value"]] = np.nan
     geometry = (header["xllcorner"], header["yllcorner"], header["cellsize"], ncols, nrows)
     return np.flipud(data).copy(), geometry
+
+
+def whole_file_ascii_grid(path):
+    """``read_ascii_grid`` on the file held whole, with one loadtxt call on the body.
+
+    The fault it raises is the first in this order: a non-ASCII byte,
+    the header, (if loadtxt fails on the body) the first non-blank row
+    without ncols values or else loadtxt's message for the first bad
+    cell, the row count, the shape.  The header checks and the loadtxt
+    call are the library's own; what this pins is which fault a file
+    with several is reported by, and the row numbers in the message.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise HeaderMismatchError(
+            f"{path}: non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    raw = _lf_lines(raw)
+    header, offset = _parse_header(path, raw)
+    grid = _grid_of(path, header)
+    nrows, ncols = grid.shape
+    try:
+        data = loadtxt_f64(io.BytesIO(raw[offset:]))
+    except ValueError as exc:
+        # str.split() splits where loadtxt does; a row of only blanks is none
+        rows = [ln.split() for ln in raw[offset:].decode("ascii").split("\n")]
+        for rowno, row in enumerate((r for r in rows if r), start=1):
+            if len(row) != ncols:
+                raise HeaderMismatchError(
+                    f"{path}: data row {rowno} has {len(row)} values, header declares ncols {ncols}"
+                ) from None
+        raise HeaderMismatchError(f"{path}: non-numeric cell value: {exc}") from None
+    if data.shape[0] != nrows:
+        raise HeaderMismatchError(
+            f"{path}: header declares {nrows} rows but file has {data.shape[0]}"
+        )
+    if data.shape != (nrows, ncols):
+        raise HeaderMismatchError(
+            f"{path}: header declares {nrows}x{ncols} but data is {data.shape}"
+        )
+    data[data == header["nodata_value"]] = np.nan
+    return np.flipud(data).copy(), grid

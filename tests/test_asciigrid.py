@@ -16,7 +16,12 @@ from breakline_dtm.errors import HeaderMismatchError
 from breakline_dtm.ingest import CONTROL_LINE_ENDS, PointCloud, _lf_lines, write_points_xyz
 from breakline_dtm.raster import GridSpec
 
-from oracles import per_cell_ascii_grid, per_cell_xyz_text, per_line_ascii_grid
+from oracles import (
+    per_cell_ascii_grid,
+    per_cell_xyz_text,
+    per_line_ascii_grid,
+    whole_file_ascii_grid,
+)
 
 # values whose "%.6f" text is special: non-finite, signed zero, the
 # NODATA value itself, 16-digit integers and values that round to zero
@@ -269,9 +274,8 @@ def test_integer_writer_bytes_equal_per_cell_oracle(values, chunk_cells):
 
 
 def _read_in_blocks(path, block_bytes):
-    """Read a well-formed grid; the whole-file path, kept for faults, is not taken."""
-    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(asciigrid, "_read_whole", side_effect=AssertionError("fell back")):
+    """Read a well-formed grid in blocks of ``block_bytes``."""
+    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
         back, grid = read_ascii_grid(path)
     assert back.dtype == np.float64 and back.flags.c_contiguous
     return back, grid
@@ -304,12 +308,13 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_byt
 @given(rasters, st.data())
 def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factory, values, data):
     # a valid grid with a few bytes inserted or deleted at random: each
-    # block size reads what the whole-file pass reads, without that pass,
-    # or raises the fault that pass reports
+    # block size reads what the whole-file pass reads, or raises the fault
+    # that pass reports
     raw = _drawn_grid_text(values, data).encode("ascii")
     lines = [ln + b"\n" for ln in _lf_lines(raw).split(b"\n")]
     inserts = st.sampled_from([
-        b" ", b"\n", b"\r", b"\x0b", b"x", b"1", b"-9999", b"nan", b"\xe9",
+        b" ", b"\n", b"\r", b"\x0b", b"\x1f", b"\n\x1f\n", b"x", b"1", b"-9999", b"nan",
+        b"\xe9",
         *lines[:6],  # a header line
         lines[-2],  # a data row
     ])
@@ -322,13 +327,11 @@ def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factor
     path = tmp_path_factory.mktemp("grid") / "g.asc"
     path.write_bytes(raw)
     try:
-        whole = asciigrid._read_whole(path)
+        whole = whole_file_ascii_grid(path)
     except HeaderMismatchError as exc:
         whole = str(exc)
     for block_bytes in BLOCK_BYTES:
-        read_whole = mock.Mock(wraps=asciigrid._read_whole)
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
-                mock.patch.object(asciigrid, "_read_whole", read_whole):
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
             try:
                 blocks = read_ascii_grid(path)
             except HeaderMismatchError as exc:
@@ -336,8 +339,6 @@ def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factor
         if isinstance(whole, str):
             assert blocks == whole, (raw, block_bytes)
         else:
-            # a file the whole-file pass reads is read by the blocks alone
-            assert not read_whole.called, (raw, block_bytes)
             assert blocks[0].tobytes() == whole[0].tobytes() and blocks[1] == whole[1]
 
 
@@ -395,6 +396,8 @@ def test_reader_errors_name_the_file(tmp_path):
         (head.encode() + b"1 2\xa03\n4 5 6\n", "non-ASCII byte 0xa0 at offset 73$"),
         (head + "1 2 3\n4 5\n", "data row 2 has 2 values, header declares ncols 3$"),
         (head + "1 2 3\n4 5 6\n7 8\n", "data row 3 has 2 values, header declares ncols 3$"),
+        # a short row is named before a bad cell above it
+        (head + "1 x 3\n4 5 6\n7 8\n", "data row 3 has 2 values, header declares ncols 3$"),
         (head + "1 2 3\n", "header declares 2 rows but file has 1$"),
         (head + "1 2 3\n4 5 6\n7 8 9\n", "header declares 2 rows but file has 3$"),
         (head, "header declares 2 rows but file has 0$"),
@@ -402,8 +405,15 @@ def test_reader_errors_name_the_file(tmp_path):
         # one value per row would broadcast into a row of three
         (head + "1\n2\n", r"header declares 2x3 but data is \(2, 1\)$"),
         (head + "1 2 3\n4 x 6\n", "non-numeric cell value: "),
+        # loadtxt splits at the unit separator 0x1f, and skips a line of it alone
+        (head + "1 2 3\n4\x1f5 6\n7 8 x\n",
+         "non-numeric cell value: could not convert string 'x' to float64 at row 2, column 3"),
+        (head + "1 2 3\n\x1f\n4 5\n", "data row 2 has 2 values, header declares ncols 3$"),
         (head.replace("cellsize 1\n", "") + "1 2 3\n4 5 6\n", r"header missing \['cellsize'\]"),
         ("ncols 3\nnrows 2\n1 2 3\n4 5 6\n", "header missing"),
+        # a non-ASCII byte is named before a header fault above it
+        ("ncols 3\nnrows 2\n1 2 3\n4 5 \u00e9\n".encode("latin-1"),
+         "non-ASCII byte 0xe9 at offset 26$"),
     ]
     for key, value, message in [
         ("ncols", "2.7", "header ncols must be a positive integer, got 2.7"),

@@ -36,7 +36,9 @@ POINTS = 1_440_000  # 4 points per square metre
 # tile by tile.  The whole compare command on three such grids (a mask
 # with 20 % non-zero cells, 250 px tiles) takes 9.8 MB with a float
 # raster of each grid and 4.7 MB with one difference raster and a bool
-# mask built as b and the mask are read
+# mask built as b and the mask are read.  With a non-numeric cell in the
+# mask's last row it took 10.5 MB while the fault was named by parsing the
+# whole mask again, and takes 4.7 MB named from the block that holds it
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
@@ -134,3 +136,16 @@ def test_stage_transient_memory_is_bounded(name, tmp_path):
         fn(*args)  # loads scipy's lazily imported modules outside the trace
     peak = traced_peak_mb(fn, *args)
     assert peak <= BOUNDS_MB[name], f"{name} allocated {peak:.1f} MB"
+
+
+def test_compare_names_a_fault_in_the_last_mask_row_within_its_bound(tmp_path, capsys):
+    fn, argv = _case("compare", tmp_path)
+    mask = tmp_path / "m.asc"
+    text = mask.read_bytes()
+    last = text.rindex(b"\n", 0, -1) + 1  # the last row's first cell becomes x.000000
+    mask.write_bytes(text[:last] + b"x" + text[last + 1 :])
+    codes = []
+    peak = traced_peak_mb(lambda: codes.append(fn(argv)))
+    assert codes == [2]
+    assert "m.asc: non-numeric cell value: " in capsys.readouterr().err
+    assert peak <= BOUNDS_MB["compare"], f"compare allocated {peak:.1f} MB"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -267,6 +271,31 @@ def test_cli_dtm_grid_too_large_exits_3(tmp_path, capsys, cell):
     assert err.startswith("parameter error: cell size")
     assert "bbox x 0.0..10.0, y 0.0..10.0" in err
     assert "more than the 2147483647 a grid may have" in err
+
+
+# allocates and touches ``held`` MB, then replaces itself by the CLI
+HOLD_THEN_EXEC = """
+import os, sys
+held = b"\\x01" * (int(sys.argv[1]) << 20)
+os.execv(sys.executable, [sys.executable, "-m", "breakline_dtm.cli", *sys.argv[2:]])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read on Linux only")
+def test_report_peak_rss_leaves_out_the_process_that_exec_ed_the_cli(tmp_path):
+    # ru_maxrss would keep the 300 MB the process held before it became the CLI
+    scene_file = tmp_path / "scene.txt"
+    write_scene_file(scene_file)
+    assert run_cli(["synth", scene_file, "--out-dir", tmp_path]) == 0
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["300", "dtm", tmp_path / "points.xyz", "--out-dir", tmp_path / "out",
+            "--a1", "100", "--a2", "200"]
+    subprocess.run([sys.executable, "-c", HOLD_THEN_EXEC, *map(str, argv)], env=env,
+                   capture_output=True, check=True)
+    peaks = json.loads((tmp_path / "out" / "report.json").read_text())["peak_rss_mb"]
+    assert 0 < max(peaks.values()) < 200, peaks
 
 
 def test_cli_synth_then_dtm_round_trip(tmp_path):
