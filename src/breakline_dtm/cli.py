@@ -30,7 +30,7 @@ from .asciigrid import _read_blocks, read_ascii_grid, write_ascii_grid
 from .errors import InputDataError, ParameterError, PipelineError
 from .groundfilter import FilterParams, region_report_rows
 from .ingest import BBox, bounds, read_points, write_points_xyz
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, _peak_rss_mb, run_pipeline
 from .raster import fill_voids_nearest, make_grid_spec, rasterize_min
 from .scene import load_scene, sample_points, truth_rasters
 from .slope import break_line_mask, slope_map
@@ -154,6 +154,7 @@ def _cmd_dtm(args) -> int:
         strict_parse=args.strict,
         workers=args.workers,
         crop=None if args.crop is None else _crop_bbox(args.crop),
+        intermediates=args.emit_intermediates,
     )
     res = run_pipeline(args.input, cfg)
 
@@ -182,13 +183,14 @@ def _cmd_dtm(args) -> int:
         for row in region_report_rows(res.stats, cfg.filter_params):
             writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", row[3]])
     _write_water_csv(out / "water_segments.csv", res.water)
-    # written last, so the report can carry the time of every raster write
-    _write_json(out / "report.json", {**res.report, "writes_s": writes_s})
+    # written last, so the report can carry the time and memory of every raster write
+    report = {**res.report, "writes_s": writes_s, "writes_peak_rss_mb": round(_peak_rss_mb(), 3)}
+    _write_json(out / "report.json", report)
 
     print(f"DTM written to {out / 'dtm.asc'}")
     print(
         f"grid {grid.ncols}x{grid.nrows} @ {grid.cell} m | "
-        f"regions {res.segmentation.region_count} | "
+        f"regions {res.report['regions']['count']} | "
         f"water segments {len(res.water.segments)} | "
         f"P {res.report['density']['P']:.4f} T {res.report['density']['water_threshold']}"
     )
@@ -204,8 +206,10 @@ def _write_water_csv(path: Path, wmap) -> None:
 
 
 def _read_to_dsm(args):
-    pc = read_points(args.input, args.strict)
-    return rasterize_min(pc, make_grid_spec(bounds(pc), args.cell), args.workers)
+    # the config checks --cell and --workers before the input is read
+    cfg = PipelineConfig(cell=args.cell, strict_parse=args.strict, workers=args.workers)
+    pc = read_points(args.input, cfg.strict_parse)
+    return rasterize_min(pc, make_grid_spec(bounds(pc), cfg.cell), cfg.workers)
 
 
 def _cmd_slope(args) -> int:

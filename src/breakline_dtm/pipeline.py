@@ -36,7 +36,16 @@ from .interp import (
     DtmRaster,
     interpolate_nonground,
 )
-from .raster import Dsm, GridSpec, SparseDsm, fill_voids_nearest, make_grid_spec, rasterize_min
+from .raster import (
+    Dsm,
+    GridSpec,
+    SparseDsm,
+    _check_cell,
+    _check_workers,
+    fill_voids_nearest,
+    make_grid_spec,
+    rasterize_min,
+)
 from .slope import BreakMask, SlopeMap, break_line_mask, slope_map
 from .water import (
     WaterMap,
@@ -57,6 +66,14 @@ class PipelineConfig:
     strict_parse: bool = False
     workers: int = 1
     crop: BBox | None = None
+    # keep the DSM, slope, break and label rasters in the result; without
+    # them each is freed once its last stage has read it
+    intermediates: bool = True
+
+    def __post_init__(self) -> None:
+        # checked here, before any input is read
+        _check_cell(self.cell)
+        _check_workers(self.workers)
 
     def parameter_echo(self) -> dict:
         """Every effective parameter, spelled out for the run report."""
@@ -82,10 +99,10 @@ class PipelineResult:
     ground: GroundMask
     water: WaterMap
     sparse: SparseDsm
-    dsm: Dsm
-    slope: SlopeMap
-    breaks: BreakMask
-    segmentation: Segmentation
+    dsm: Dsm | None
+    slope: SlopeMap | None
+    breaks: BreakMask | None
+    segmentation: Segmentation | None
     stats: RegionStats
     report: dict
 
@@ -199,7 +216,12 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     ground = timer.run(
         "classify", lambda: classify_regions(seg, stats, cfg.filter_params)
     )
+    region_count = seg.region_count
+    if not cfg.intermediates:
+        slp = breaks = seg = None  # read by no later stage
     dtm_land = timer.run("interpolate", lambda: interpolate_nonground(dsm, ground))
+    if not cfg.intermediates:
+        dsm = None
 
     threshold = timer.run(
         "water_threshold", lambda: water_threshold(sparse.occupancy, cfg.water_params)
@@ -234,7 +256,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "water_threshold": int(threshold),
         },
         "regions": {
-            "count": seg.region_count,
+            "count": region_count,
             "ground_px": int(ground.is_ground.sum()),
             "nonground_px": int((~ground.is_ground).sum()),
             "by_rule": region_rule_counts(stats, cfg.filter_params),

@@ -23,6 +23,16 @@ from .ingest import BBox, PointCloud
 MAX_GRID_CELLS = 2**31 - 1
 
 
+def _check_cell(cell: float) -> None:
+    if not 0 < cell < math.inf:
+        raise NonPositiveCellError(f"cell size must be finite and > 0, got {cell}")
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular raster geometry in meters."""
@@ -34,8 +44,7 @@ class GridSpec:
     nrows: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.cell < math.inf:
-            raise NonPositiveCellError(f"cell size must be finite and > 0, got {self.cell}")
+        _check_cell(self.cell)
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError(f"grid must have at least one cell: {self}")
 
@@ -90,8 +99,7 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
     ``MAX_GRID_CELLS`` cells is a ParameterError, raised before anything
     is allocated.
     """
-    if not 0 < cell < math.inf:
-        raise NonPositiveCellError(f"cell size must be finite and > 0, got {cell}")
+    _check_cell(cell)
     cols = bbox.width / cell - 1e-9
     rows = bbox.height / cell - 1e-9
     if math.isfinite(cols) and math.isfinite(rows):
@@ -157,8 +165,7 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     first and submits the next, so at most threads + 1 grid-sized partial
     results are alive at once.  ``workers`` < 1 is a ParameterError.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     first, *rest = np.array_split(pc.xyz, workers)
     threads = min(max(1, len(rest)), os.cpu_count() or 1)
     chunks = iter(rest)

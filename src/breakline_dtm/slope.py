@@ -33,23 +33,42 @@ class BreakMask:
     is_break: np.ndarray
 
 
+# rows of the output computed at once; each strip's temporaries are this
+# many rows tall, not the raster's height
+_STRIP_ROWS = 64
+
+
 def slope_map(dsm: Dsm) -> SlopeMap:
-    """Slope of the surface at every pixel via the Sobel gradient."""
+    """Slope of the surface at every pixel via the Sobel gradient.
+
+    The raster is computed in strips of ``_STRIP_ROWS`` rows.  A strip
+    borrows the rows next to it from the DSM and edge-pads only at the
+    raster's own top and bottom, so every pixel sees the values and
+    operations of a whole-raster pass and gets the same bits.
+    """
     nrows, ncols = dsm.grid.shape
     if nrows < 3 or ncols < 3:
         raise GridTooSmallError(f"need at least 3x3 cells, got {nrows}x{ncols}")
 
-    p = np.pad(dsm.elev, 1, mode="edge")
+    elev = dsm.elev
     scale = 8.0 * dsm.grid.cell
-    gx = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    ) / scale
-    gy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    ) / scale
-    deg = np.degrees(np.arctan(np.hypot(gx, gy)))
+    deg = np.empty(dsm.grid.shape)
+    for r0 in range(0, nrows, _STRIP_ROWS):
+        r1 = min(r0 + _STRIP_ROWS, nrows)
+        p = np.pad(
+            elev[max(r0 - 1, 0) : r1 + 1],
+            ((int(r0 == 0), int(r1 == nrows)), (1, 1)),
+            mode="edge",
+        )
+        gx = (
+            (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
+            - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
+        ) / scale
+        gy = (
+            (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
+            - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
+        ) / scale
+        deg[r0:r1] = np.degrees(np.arctan(np.hypot(gx, gy)))
     return SlopeMap(dsm.grid, deg)
 
 

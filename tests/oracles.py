@@ -298,6 +298,25 @@ def direct_sobel_slope(elev, cell):
     return out
 
 
+def whole_raster_slope(elev, cell):
+    """Sobel slope in degrees of the whole raster at once, from one edge-padded copy.
+
+    The operations and their order are those of ``slope_map``, so its
+    result must match this one bit for bit.
+    """
+    p = np.pad(elev, 1, mode="edge")
+    scale = 8.0 * cell
+    gx = (
+        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
+        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
+    ) / scale
+    gy = (
+        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
+        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
+    ) / scale
+    return np.degrees(np.arctan(np.hypot(gx, gy)))
+
+
 def nearest_rank_sorted(values, q):
     """Nearest-rank percentile on an explicit sorted list with exact arithmetic."""
     ordered = sorted(float(v) for v in values)

@@ -18,6 +18,7 @@ from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connecte
 from breakline_dtm.ingest import _read_las
 from breakline_dtm.interp import interpolate_nonground
 from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
+from breakline_dtm.slope import slope_map
 from breakline_dtm.tiling import compare_tiled
 from breakline_dtm.water import water_mask
 from test_ingest import make_las
@@ -38,7 +39,9 @@ POINTS = 1_440_000  # 4 points per square metre
 # raster of each grid and 4.7 MB with one difference raster and a bool
 # mask built as b and the mask are read.  With a non-numeric cell in the
 # mask's last row it took 10.5 MB while the fault was named by parsing the
-# whole mask again, and takes 4.7 MB named from the block that holds it
+# whole mask again, and takes 4.7 MB named from the block that holds it.
+# slope_map took 13.8 MB with five raster-sized arrays (the padded DSM,
+# both gradients and two temporaries) and takes 4.3 MB in row strips
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
@@ -48,6 +51,7 @@ BOUNDS_MB = {
     "fill_voids_nearest": 18.0,
     "interpolate_nonground": 14.0,
     "region_stats": 4.0,
+    "slope_map": 6.5,
     "water_mask": 9.0,
 }
 
@@ -116,6 +120,8 @@ def _case(name, tmp_path):
         occupancy[(r - 400) ** 2 + (c - 200) ** 2 < 40**2] = 0
         elev = np.where(occupancy > 0, rng.normal(50, 2, GRID.shape), np.nan)
         return fill_voids_nearest, SparseDsm(GRID, elev, occupancy)
+    if name == "slope_map":
+        return slope_map, Dsm(GRID, rng.normal(50, 2, GRID.shape))
     ground, breaks = _blocks()
     if name == "interpolate_nonground":
         gx, gy = np.meshgrid(GRID.x_centers(), GRID.y_centers())

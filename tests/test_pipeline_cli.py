@@ -233,6 +233,29 @@ def test_pipeline_crop_equals_window_of_full_run(crop_points, crop_full, crop, r
     }
 
 
+@pytest.mark.parametrize("crop", [None, BBox(105.0, 100.0, 125.0, 125.0)])
+def test_pipeline_without_intermediates_gives_the_same_outputs(crop_points, crop):
+    full = run_pipeline(crop_points, PipelineConfig(filter_params=CROP_FILTER, crop=crop))
+    lean = run_pipeline(
+        crop_points, PipelineConfig(filter_params=CROP_FILTER, crop=crop, intermediates=False)
+    )
+    assert (lean.dsm, lean.slope, lean.breaks, lean.segmentation) == (None,) * 4
+    for name, attr in RASTER_ARRAYS:
+        if name not in ("dtm", "ground", "water"):
+            continue
+        got = getattr(getattr(lean, name), attr)
+        want = getattr(getattr(full, name), attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, attr)
+    got = [(seg.id, seg.pixels.tolist(), seg.elevation) for seg in lean.water.segments]
+    assert got == [(seg.id, seg.pixels.tolist(), seg.elevation) for seg in full.water.segments]
+    # the run's own time and memory measurements differ between runs
+    for res in (lean, full):
+        res.report.pop("timings_s")
+        res.report.pop("peak_rss_mb")
+    assert lean.report == full.report
+    assert lean.report["regions"]["count"] == full.segmentation.region_count
+
+
 def test_pipeline_accepts_xyz_file(tmp_path, scene_points):
     small = Scene(
         extent=BBox(0, 0, 30, 30), density=6.0, seed=5, plane=Plane(10.0)
@@ -343,6 +366,8 @@ def test_cli_synth_then_dtm_round_trip(tmp_path):
     assert report["parameters"]["a1_m2"] == 100.0
     assert set(report["writes_s"]) == {name for name in outputs if name.endswith(".asc")}
     assert all(seconds >= 0 for seconds in report["writes_s"].values())
+    # the high-water mark after the last write, which may set the run's peak
+    assert report["writes_peak_rss_mb"] >= max(report["peak_rss_mb"].values())
     # the high-water mark after each stage, in stage order
     assert list(report["peak_rss_mb"]) == list(report["timings_s"])
     peaks = list(report["peak_rss_mb"].values())
@@ -691,6 +716,12 @@ def test_cli_crop_writes_water_segments_inside_window(tmp_path, crop_points):
         ["dtm", "{pts}", "--workers", "-3"],
         ["slope", "{pts}", "--workers", "0"],
         ["water", "{pts}", "--workers", "-3"],
+        # checked before the input is read: a missing input would exit 2
+        *(
+            [command, "{missing}", *flag]
+            for command in ("dtm", "slope", "water")
+            for flag in (["--workers", "0"], ["--cell", "0"])
+        ),
     ],
 )
 def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
@@ -698,6 +729,6 @@ def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
     pts.write_text("0 0 1\n10 0 1\n0 10 1\n10 10 1\n")
     scene = tmp_path / "scene.txt"
     write_scene_file(scene)
-    argv = [a.format(pts=pts, scene=scene) for a in argv]
+    argv = [a.format(pts=pts, scene=scene, missing=tmp_path / "missing.xyz") for a in argv]
     assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 3
     assert capsys.readouterr().err.startswith("parameter error: ")

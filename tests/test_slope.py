@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breakline_dtm.errors import BadThresholdError, GridTooSmallError
 from breakline_dtm.raster import Dsm, GridSpec
-from breakline_dtm.slope import SlopeMap, break_line_mask, slope_map
-from oracles import direct_sobel_slope
+from breakline_dtm.slope import _STRIP_ROWS, SlopeMap, break_line_mask, slope_map
+from oracles import direct_sobel_slope, whole_raster_slope
 
 
 def plane_dsm(grid, a=0.0, b=0.0, base=0.0):
@@ -122,3 +122,32 @@ def test_break_sets_monotone_in_threshold(seed, t1, t2):
     mask_hi = break_line_mask(sm, hi).is_break
     mask_lo = break_line_mask(sm, lo).is_break
     assert not (mask_hi & ~mask_lo).any()
+
+
+# cells that stress the arithmetic: signed zeros, overflow to inf in the
+# sums (and inf - inf = NaN), and subnormals
+SPECIAL_CELLS = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072e-308]
+STRIP_HEIGHTS = [3, 4, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS - 1,
+                 2 * _STRIP_ROWS, 2 * _STRIP_ROWS + 1, 3 * _STRIP_ROWS + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@example(nrows=_STRIP_ROWS + 1, ncols=3, seed=0, special=1.0, cell=0.5)
+@example(nrows=2 * _STRIP_ROWS, ncols=5, seed=1, special=0.3, cell=1e-300)
+@given(
+    nrows=st.one_of(st.integers(3, 12), st.sampled_from(STRIP_HEIGHTS)),
+    ncols=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.floats(0.0, 1.0),
+    cell=st.sampled_from([0.5, 1.0, 3.7, 1e-300, 1e300]),
+)
+def test_strips_match_the_whole_raster_pass_bit_for_bit(nrows, ncols, seed, special, cell):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, 10.0, (nrows, ncols))
+    picks = rng.random((nrows, ncols)) < special
+    z[picks] = rng.choice(SPECIAL_CELLS, int(picks.sum()))
+    with np.errstate(all="ignore"):
+        got = slope_map(Dsm(GridSpec(0, 0, cell, ncols, nrows), z)).slope_deg
+        want = whole_raster_slope(z, cell)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
