@@ -127,8 +127,7 @@ def test_break_sets_monotone_in_threshold(seed, t1, t2):
 # cells that stress the arithmetic: signed zeros, overflow to inf in the
 # sums (and inf - inf = NaN), and subnormals
 SPECIAL_CELLS = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072e-308]
-STRIP_HEIGHTS = [3, 4, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS - 1,
-                 2 * _STRIP_ROWS, 2 * _STRIP_ROWS + 1, 3 * _STRIP_ROWS + 1]
+STRIP_HEIGHTS = [k * _STRIP_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 @settings(max_examples=60, deadline=None)
