@@ -121,11 +121,18 @@ def _line_blocks(fh, size: int) -> Iterator[bytes]:
     while chunk := fh.read(size):
         chunk = carry + chunk
         cut = chunk.rfind(b"\n", len(carry)) + 1
-        carry = chunk[cut:]
-        if cut:
-            yield chunk[:cut]
+        chunk, carry = chunk[:cut], chunk[cut:]  # only the block is held while it is used
+        if chunk:
+            yield chunk
     if carry:
         yield carry
+
+
+def _then(first: bytes, rest: Iterator[bytes]) -> Iterator[bytes]:
+    """``first``, then the blocks of ``rest``; ``first`` is let go once the next is asked for."""
+    yield first
+    del first
+    yield from rest
 
 
 def _ascii_blocks(path, fh) -> Iterator[bytes]:
@@ -173,13 +180,15 @@ def _read_blocks(path, fh) -> Iterator:
         collections.deque(blocks, maxlen=0)  # a non-ASCII byte further on comes first
         raise
     yield grid
+    body = _then(head[offset:], blocks)
+    del head, text  # the header's blocks; the rest of the last is the body's first
     nrows, ncols = grid.shape
     nodata = header["nodata_value"]
     rows = 0  # non-blank body rows so far: the rows loadtxt counts
     widths: set[int] = set()  # of the blocks loadtxt read
     failed = False  # loadtxt would fail on the whole body
     ragged = bad_cell = None  # the first row without ncols values, the first bad cell
-    for text in itertools.chain([head[offset:]], blocks):
+    for text in body:
         try:
             data = loadtxt_f64(io.BytesIO(text))
         except ValueError as exc:
@@ -215,6 +224,34 @@ def _read_blocks(path, fh) -> Iterator:
         raise HeaderMismatchError(
             f"{path}: header declares {nrows}x{ncols} but data is ({nrows}, {widths.pop()})"
         )
+
+
+def _row_bands(blocks, nrows: int, band_rows: int, fill) -> Iterator[slice]:
+    """Hand the body ``_read_blocks`` yields to ``fill`` in bands of raster rows, north first.
+
+    Bands are cut every ``band_rows`` rows from row 0 (south), so the
+    northmost band, the first read, may be partial.  For each band,
+    ``fill(rows, values)`` is called on the pieces of blocks that cover
+    it, ``rows`` counted from the band's southmost row, and then the
+    band's slice of raster rows is yielded.  A block that reaches past a
+    band is cut, and its rest is held for the next band, so a file is
+    read one block ahead at most.  Resumed after the last band, it reads
+    the blocks to their end, which raises a fault past the last row.
+    """
+    held = None  # the rows of a block not yet filled in, from raster row start
+    for lo in range((nrows - 1) // band_rows * band_rows, -1, -band_rows):
+        top = min(nrows, lo + band_rows)
+        band = slice(lo, top)
+        while top > lo:
+            if held is None:
+                rows, held = next(blocks)
+                start = rows.start
+            cut = max(start, lo)
+            fill(slice(cut - lo, top - lo), held[cut - start :])
+            held = held[: cut - start] if cut > start else None
+            top = cut
+        yield band
+    collections.deque(blocks, maxlen=0)
 
 
 def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:

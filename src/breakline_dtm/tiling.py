@@ -62,37 +62,72 @@ def compare_tiled(a, b, exclude: np.ndarray | None = None, tile_px: int = 1000) 
         raise GridMismatchError(f"raster shapes differ: {arr_a.shape} vs {arr_b.shape}")
     if grid_a is not None and grid_b is not None and grid_a != grid_b:
         raise GridMismatchError("raster grids differ")
-    if tile_px < 1:
-        raise ParameterError(f"tile_px must be >= 1, got {tile_px}")
+    check_tile_px(tile_px)
 
     if exclude is not None and exclude.shape != arr_a.shape:
         raise GridMismatchError("exclusion mask shape differs from rasters")
 
-    # each tile's difference and validity come from slices of the inputs;
-    # both are elementwise, so no full-size raster of either is built
+    # each tile's difference comes from slices of the inputs, so no
+    # full-size difference or validity raster is built
     nrows, ncols = arr_a.shape
+    rows = []
+    for rs in _spans(nrows, tile_px):
+        row = []
+        for cs in _spans(ncols, tile_px):
+            ex = None if exclude is None else exclude[rs, cs]
+            row += band_sums(arr_a[rs, cs] - arr_b[rs, cs], ex, tile_px)
+        rows.append(row)
+    return tile_report(rows, tile_px)
+
+
+def check_tile_px(tile_px: int) -> None:
+    if tile_px < 1:
+        raise ParameterError(f"tile_px must be >= 1, got {tile_px}")
+
+
+def _spans(n: int, size: int) -> list[slice]:
+    """``range(n)`` cut into slices of ``size``; the last keeps what is left."""
+    return [slice(i, min(n, i + size)) for i in range(0, n, size)]
+
+
+def band_sums(
+    diff: np.ndarray, exclude: np.ndarray | None, tile_px: int
+) -> list[tuple[int, float, float]]:
+    """``(valid_px, sum |d|, sum d*d)`` of each tile of one band of tile rows, west to east.
+
+    ``diff`` holds the band's differences a - b and is left as it is; a
+    pixel is valid where its difference is finite and ``exclude`` is not
+    set.  The sums run over the valid differences of a tile in row-major
+    order, as numpy sums a 1-D array, so the same tile gives the same bits
+    however the raster around it was read.
+    """
+    sums = []
+    for cs in _spans(diff.shape[1], tile_px):
+        valid = np.isfinite(diff[:, cs])
+        if exclude is not None:
+            valid &= ~exclude[:, cs]
+        d = diff[:, cs][valid]
+        # |d| * |d| is d * d bit for bit, so both sums reuse the one copy
+        s_abs = float(np.abs(d, out=d).sum())
+        sums.append((d.size, s_abs, float(np.multiply(d, d, out=d).sum())))
+    return sums
+
+
+def tile_report(rows: list[list[tuple[int, float, float]]], tile_px: int) -> TileReport:
+    """The report of tiles whose ``band_sums`` are ``rows``, tile row 0 (south) first.
+
+    The global sums add the tiles in that order, row-major from the south.
+    """
     tiles: list[TileMetrics] = []
     sum_abs = 0.0
     sum_sq = 0.0
     total_valid = 0
-    for tr in range(math.ceil(nrows / tile_px)):
-        for tc in range(math.ceil(ncols / tile_px)):
-            rs = slice(tr * tile_px, min(nrows, (tr + 1) * tile_px))
-            cs = slice(tc * tile_px, min(ncols, (tc + 1) * tile_px))
-            d = arr_a[rs, cs] - arr_b[rs, cs]
-            valid = np.isfinite(d)
-            if exclude is not None:
-                valid &= ~exclude[rs, cs]
-            d = d[valid]
-            n = d.size
+    for tr, row in enumerate(rows):
+        for tc, (n, s_abs, s_sq) in enumerate(row):
             if n == 0:
                 tiles.append(TileMetrics(tr, tc, 0, None, None))
                 continue
-            s_abs = float(np.abs(d).sum())
-            s_sq = float((d * d).sum())
-            tiles.append(
-                TileMetrics(tr, tc, n, s_abs / n, math.sqrt(s_sq / n))
-            )
+            tiles.append(TileMetrics(tr, tc, n, s_abs / n, math.sqrt(s_sq / n)))
             sum_abs += s_abs
             sum_sq += s_sq
             total_valid += n

@@ -1,19 +1,25 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from breakline_dtm import asciigrid, pipeline
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
-from breakline_dtm.errors import EmptyInputError
+from breakline_dtm.errors import EmptyInputError, InputDataError
 from breakline_dtm.groundfilter import FilterParams
 from breakline_dtm.ingest import BBox, PointCloud, write_points_xyz
 from breakline_dtm.interp import SOURCE_INTERPOLATED
@@ -28,7 +34,8 @@ from breakline_dtm.scene import (
     truth_rasters,
     _rect_polygon,
 )
-from oracles import per_cell_ascii_grid
+from breakline_dtm.tiling import compare_tiled, write_tile_csv
+from oracles import per_cell_ascii_grid, whole_file_ascii_grid
 from test_asciigrid import BLOCK_BYTES
 
 SCENE = Scene(
@@ -466,6 +473,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "#1 tile" not in capsys.readouterr().out
 
 
+def test_cli_compare_refuses_a_bad_tile_px_before_opening_a_file(tmp_path, capsys):
+    # the paths name no file: the parameter is checked first, as --top is
+    missing = [tmp_path / "a.asc", tmp_path / "b.asc", "--mask", tmp_path / "m.asc"]
+    assert run_cli(["compare", *missing, "--tile-px", "0", "--out", tmp_path / "t.csv"]) == 3
+    assert capsys.readouterr().err == "parameter error: tile_px must be >= 1, got 0\n"
+
+
 def _grid_header(ncols, nrows):
     return (
         f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
@@ -538,6 +552,133 @@ def test_cli_compare_other_grid_is_reported_before_its_body(tmp_path, capsys):
     assert run_cli(["compare", a, a, "--mask", other, "--out", tmp_path / "t.csv"]) == 2
     err = capsys.readouterr().err
     assert err == "input error: mask grid differs from the compared rasters\n"
+
+
+def _read_in_turn(a, b, mask):
+    """Exit code and stderr of compare if each file were read whole before the next is opened."""
+    try:
+        grid = whole_file_ascii_grid(a)[1]
+        grid_b = whole_file_ascii_grid(b)[1]
+        if grid_b != grid:
+            raise InputDataError(f"grids differ: {grid} vs {grid_b}")
+        if mask is not None and whole_file_ascii_grid(mask)[1] != grid:
+            raise InputDataError("mask grid differs from the compared rasters")
+    except (InputDataError, OSError) as exc:
+        return 2, f"input error: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, asciigrid._READ_BLOCK_BYTES])
+@pytest.mark.parametrize("tile_px", [1, 3, 100])
+def test_cli_compare_names_the_fault_of_the_first_faulty_file(
+    tmp_path, capsys, block_bytes, tile_px
+):
+    # the three files are read in step, band by band, yet a fault of an
+    # earlier file is named before any fault of a later one: a's last row
+    # before b's first row, a missing b or a b on another grid, and b's
+    # faults before the mask's
+    body = ["1 2 3", "4 5 6", "7 8 9", "1 2 3"]
+    files = {}
+
+    def grid_file(name, lines, header=_grid_header(3, 4)):
+        files[name] = tmp_path / f"{name}.asc"
+        files[name].write_bytes((header + "\n".join(lines) + "\n").encode("latin-1"))
+
+    grid_file("a", body)
+    grid_file("a_last", body[:-1] + ["1 2"])
+    grid_file("b", body)
+    grid_file("b_first", ["x 2 3"] + body[1:])
+    files["b_missing"] = tmp_path / "b_missing.asc"
+    grid_file("b_other", body, _grid_header(3, 4).replace("xllcorner 0", "xllcorner 5"))
+    grid_file("b_extra", body + ["1 2 3"])  # a fault past the last row
+    grid_file("m", ["0 1 0", "0 0 0", "1 1 0", "0 0 -9999"])
+    grid_file("m_first", ["0 1 caf\u00e9"] + body[1:])
+    grid_file("m_last", body[:-1] + ["0 0 0 0"])
+    grid_file("m_extra", body + ["0 0 0"])
+    grid_file("m_header", body, _grid_header(3, 4).replace("cellsize 1", "cellsize 0"))
+    files["m_missing"] = tmp_path / "m_missing.asc"
+    grid_file("m_other", body + ["0 0 0"], _grid_header(3, 5))
+    out = tmp_path / "t.csv"
+    bs = ["b", "b_first", "b_missing", "b_other", "b_extra"]
+    masks = [None, "m", "m_first", "m_last", "m_extra", "m_header", "m_missing", "m_other"]
+    for a, b, m in itertools.product(["a", "a_last"], bs, masks):
+        argv = [files[a], files[b]] + ([] if m is None else ["--mask", files[m]])
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+            code = run_cli(["compare", *argv, "--out", out])
+        printed = capsys.readouterr()
+        expected = _read_in_turn(*argv[:2], None if m is None else files[m])
+        assert (code, printed.err) == expected, (a, b, m)
+        if a == "a_last":
+            assert printed.err.endswith("a_last.asc: data row 4 has 2 values, header declares ncols 3\n")
+        if code:
+            assert printed.out == "" and not out.exists(), (a, b, m)
+        out.unlink(missing_ok=True)
+
+
+def _compare_stdout(report, top, out):
+    """What compare prints for ``report``."""
+    if report.global_mae is None:
+        return "no valid pixels to compare\n"
+    tiles = {(t.row, t.col): t for t in report.tiles}
+    lines = [
+        f"global MAE {report.global_mae:.4f} m | RMSE {report.global_rmse:.4f} m | "
+        f"valid px {report.total_valid}"
+    ]
+    for rank, rc in enumerate(report.ranking[:top], start=1):
+        t = tiles[rc]
+        lines.append(f"  #{rank} tile ({t.row},{t.col}) MAE {t.mae:.4f} RMSE {t.rmse:.4f}")
+    return "\n".join(lines + [f"tile report written to {out}"]) + "\n"
+
+
+# cells whose difference is NaN, +-inf, -0.0 or has a square that overflows
+CELL_TOKENS = ["-9999", "nan", "inf", "-inf", "-0.0", "0", "1e300", "-1e300"]
+MASK_TOKENS = ["-9999", "inf", "-inf", "0.5", "0", "-0.0", "1", "-3"]
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    past=st.integers(0, 45),
+    masked=st.booleans(),
+    top=st.integers(0, 20),
+    block_bytes=st.sampled_from(BLOCK_BYTES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cli_compare_prints_and_writes_what_compare_tiled_gives(
+    shape, past, masked, top, block_bytes, seed
+):
+    # tile_px runs from 1 to past nrows; read in blocks smaller than a row
+    # and larger than a band, so that blocks straddle band edges
+    tile_px = 1 + past % (shape[0] + 5)
+    rng = np.random.default_rng(seed)
+    header = _grid_header(shape[1], shape[0])
+
+    def tokens(choices, special):
+        cells = np.char.mod("%.6f", rng.normal(100.0, 30.0, shape)).astype(object)
+        where = rng.random(shape) < special
+        cells[where] = rng.choice(choices, int(where.sum()))
+        return header + "".join(" ".join(row) + "\n" for row in cells)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{n}.asc" for n in ("a", "b", "m", "tiles", "expected")]
+        paths[0].write_text(tokens(CELL_TOKENS, 0.15))
+        paths[1].write_text(tokens(CELL_TOKENS, 0.15))
+        paths[2].write_text(tokens(MASK_TOKENS, 1.0))
+        argv = ["compare", paths[0], paths[1], "--tile-px", tile_px, "--top", top, "--out", paths[3]]
+        if masked:
+            argv += ["--mask", paths[2]]
+        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+                contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert run_cli(argv) == 0
+
+        a = whole_file_ascii_grid(paths[0])[0]
+        b = whole_file_ascii_grid(paths[1])[0]
+        exclude = np.abs(whole_file_ascii_grid(paths[2])[0]) > 0 if masked else None
+        report = compare_tiled(a, b, exclude=exclude, tile_px=tile_px)
+        write_tile_csv(report, paths[4])
+        assert paths[3].read_bytes() == paths[4].read_bytes()
+        assert stdout.getvalue() == _compare_stdout(report, top, paths[3])
 
 
 def test_cli_dtm_from_las_file(tmp_path):
