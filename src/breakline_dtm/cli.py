@@ -15,29 +15,24 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import collections
-import contextlib
 import csv
 import functools
 import gc
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .asciigrid import _read_blocks, _row_bands, write_ascii_grid
+from .asciigrid import write_ascii_grid
 from .errors import InputDataError, ParameterError, PipelineError
 from .groundfilter import FilterParams, region_report_rows
 from .ingest import BBox, bounds, read_points, write_points_xyz
 from .pipeline import PipelineConfig, _peak_rss_mb, run_pipeline
-from .raster import GridSpec, fill_voids_nearest, make_grid_spec, rasterize_min
+from .raster import fill_voids_nearest, make_grid_spec, rasterize_min
 from .scene import load_scene, sample_points, truth_rasters
 from .slope import break_line_mask, slope_map
-from .tiling import band_sums, check_tile_px, tile_report, write_tile_csv
+from .tiling import compare_grid_files, write_tile_csv
 from .water import WaterParams, water_mask, water_segments, water_threshold
 
 
@@ -246,71 +241,11 @@ def _cmd_water(args) -> int:
     return 0
 
 
-def _open_grid(stack, path, grid: GridSpec | None, mismatch: str):
-    """The grid ``path`` declares and its ``_read_blocks`` body; ``stack`` closes the file.
-
-    A grid other than ``grid`` (unless None) raises InputDataError with
-    ``mismatch``, formatted with both grids.
-    """
-    blocks = _read_blocks(path, stack.enter_context(open(path, "rb")))
-    grid_k = next(blocks)
-    if grid is not None and grid_k != grid:
-        raise InputDataError(mismatch.format(grid, grid_k))
-    return grid_k, blocks
-
-
 def _cmd_compare(args) -> int:
     if args.top < 0:
         raise ParameterError(f"--top must be >= 0, got {args.top}")
-    check_tile_px(args.tile_px)
-    files = [(args.raster_a, ""), (args.raster_b, "grids differ: {} vs {}")]
-    if args.mask:
-        files.append((args.mask, "mask grid differs from the compared rasters"))
-    readers: list = []  # the _read_blocks of each file opened, in file order
-
-    def in_turn(k, step, *step_args):
-        """``step(*step_args)``, a step in reading file k.
-
-        If it raises, the files before k are first read to their end, in
-        order: a fault of theirs is raised instead, as reading each file
-        whole in turn would have named it first.
-        """
-        try:
-            return step(*step_args)
-        except (InputDataError, OSError):
-            for earlier in readers[:k]:
-                collections.deque(earlier, maxlen=0)
-            raise
-
-    # a, b and the mask are read in step, one band of tile rows at a time,
-    # into one float band that holds a - b and one bool band for the mask,
-    # so no array is raster-sized; a fault found in any file raises before
-    # anything is printed or written
-    with contextlib.ExitStack() as stack:
-        grid = None
-        for k, (path, mismatch) in enumerate(files):
-            grid, blocks = in_turn(k, _open_grid, stack, path, grid, mismatch)
-            readers.append(blocks)
-        diff = np.empty((min(grid.nrows, args.tile_px), grid.ncols))
-        exclude = np.empty(diff.shape, dtype=bool)
-        fills = [
-            diff.__setitem__,
-            lambda rs, values: np.subtract(diff[rs], values, out=diff[rs]),
-            # NaN (NODATA) is compared, +-inf excluded
-            lambda rs, values: np.greater(np.abs(values), 0, out=exclude[rs]),
-        ]
-        bands = [_row_bands(blocks, grid.nrows, args.tile_px, fill)
-                 for blocks, fill in zip(readers, fills)]
-        rows = []  # band_sums of each tile row, north first
-        for _ in range(math.ceil(grid.nrows / args.tile_px)):
-            for k, file_bands in enumerate(bands):
-                band = in_turn(k, next, file_bands)  # the same rows in every file
-            height = band.stop - band.start
-            ex = exclude[:height] if args.mask else None
-            rows.append(band_sums(diff[:height], ex, args.tile_px))
-        for k, file_bands in enumerate(bands):
-            in_turn(k, collections.deque, file_bands, 0)  # a fault past the last row
-    report = tile_report(rows[::-1], args.tile_px)
+    # a fault found in any file raises before anything is printed or written
+    report = compare_grid_files(args.raster_a, args.raster_b, args.mask, args.tile_px)
     write_tile_csv(report, args.out)
     if report.global_mae is None:
         print("no valid pixels to compare")

@@ -8,6 +8,8 @@ first; tiles with no valid pixel report null metrics and do not rank.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .asciigrid import _read_blocks, _row_bands
+from .errors import GridMismatchError, InputDataError, ParameterError
 from .raster import GridSpec
 
 
@@ -78,6 +81,59 @@ def compare_tiled(a, b, exclude: np.ndarray | None = None, tile_px: int = 1000) 
             row += band_sums(arr_a[rs, cs] - arr_b[rs, cs], ex, tile_px)
         rows.append(row)
     return tile_report(rows, tile_px)
+
+
+def compare_grid_files(path_a, path_b, mask=None, tile_px: int = 1000) -> TileReport:
+    """``compare_tiled`` of two ASCII grid files, read in step, one band of tile rows at a time.
+
+    ``mask``, a grid file too, excludes each pixel whose cell is nonzero
+    (NaN, NODATA, is compared; +-inf is excluded).  One float band holds
+    a's values with b's subtracted in place, one bool band the mask, and
+    each band's tiles are reduced to their ``band_sums`` before the next
+    is read, so no array is raster-sized; the report is the one
+    ``compare_tiled`` gives on the whole rasters, bit for bit.  A fault
+    is the one reading each file whole, in the order a, b, mask, would
+    name first: when a step in file k fails (open, header, another grid,
+    body), files 0..k-1 are read to their end before it is raised.
+    """
+    check_tile_px(tile_px)
+    paths = [path_a, path_b] + ([] if mask is None else [mask])
+    readers: list = []  # the _read_blocks of each file opened, in file order
+    with contextlib.ExitStack() as stack:
+        try:
+            for k, path in enumerate(paths):
+                readers.append(_read_blocks(path, stack.enter_context(open(path, "rb"))))
+                grid_k = next(readers[k])
+                if k == 0:
+                    grid = grid_k
+                elif grid_k != grid:
+                    raise InputDataError(
+                        f"grids differ: {grid} vs {grid_k}" if k == 1
+                        else "mask grid differs from the compared rasters"
+                    )
+            diff = np.empty((min(grid.nrows, tile_px), grid.ncols))
+            exclude = np.empty(diff.shape, dtype=bool)
+            fills = [
+                diff.__setitem__,
+                lambda rs, values: np.subtract(diff[rs], values, out=diff[rs]),
+                lambda rs, values: np.greater(np.abs(values), 0, out=exclude[rs]),
+            ]
+            bands = [_row_bands(blocks, grid.nrows, tile_px, fill)
+                     for blocks, fill in zip(readers, fills)]
+            rows = []  # band_sums of each tile row, north first
+            for _ in range(math.ceil(grid.nrows / tile_px)):
+                for k, file_bands in enumerate(bands):
+                    band = next(file_bands)  # the same rows in every file
+                height = band.stop - band.start
+                ex = None if mask is None else exclude[:height]
+                rows.append(band_sums(diff[:height], ex, tile_px))
+            for k, file_bands in enumerate(bands):
+                collections.deque(file_bands, maxlen=0)  # a fault past the last row
+        except (InputDataError, OSError):  # in a step of file k
+            for earlier in readers[:k]:
+                collections.deque(earlier, maxlen=0)
+            raise
+    return tile_report(rows[::-1], tile_px)
 
 
 def check_tile_px(tile_px: int) -> None:

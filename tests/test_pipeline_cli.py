@@ -19,7 +19,7 @@ from scipy import ndimage
 from breakline_dtm import asciigrid, pipeline
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
-from breakline_dtm.errors import EmptyInputError, InputDataError
+from breakline_dtm.errors import EmptyInputError, InputDataError, ParameterError
 from breakline_dtm.groundfilter import FilterParams
 from breakline_dtm.ingest import BBox, PointCloud, write_points_xyz
 from breakline_dtm.interp import SOURCE_INTERPOLATED
@@ -34,7 +34,7 @@ from breakline_dtm.scene import (
     truth_rasters,
     _rect_polygon,
 )
-from breakline_dtm.tiling import compare_tiled, write_tile_csv
+from breakline_dtm.tiling import compare_grid_files, compare_tiled, write_tile_csv
 from oracles import per_cell_ascii_grid, whole_file_ascii_grid
 from test_asciigrid import BLOCK_BYTES
 
@@ -679,6 +679,24 @@ def test_cli_compare_prints_and_writes_what_compare_tiled_gives(
         write_tile_csv(report, paths[4])
         assert paths[3].read_bytes() == paths[4].read_bytes()
         assert stdout.getvalue() == _compare_stdout(report, top, paths[3])
+
+
+def test_compare_grid_files_is_compare_tiled_on_the_whole_files(tmp_path):
+    grid = GridSpec(0, 0, 1.0, 7, 9)
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(10.0, 2.0, (2, 9, 7))
+    a[4, 2] = np.nan
+    mask = (rng.random((9, 7)) < 0.3).astype(float)
+    for name, values in (("a", a), ("b", b), ("m", mask)):
+        write_ascii_grid(values, grid, tmp_path / f"{name}.asc")
+    a, b, mask = (whole_file_ascii_grid(tmp_path / f"{n}.asc")[0] for n in ("a", "b", "m"))
+    for tile_px in (1, 4, 9, 20):
+        expected = compare_tiled(a, b, exclude=mask > 0, tile_px=tile_px)
+        files = [tmp_path / "a.asc", tmp_path / "b.asc", tmp_path / "m.asc"]
+        assert compare_grid_files(*files, tile_px=tile_px) == expected
+        assert compare_grid_files(*files[:2], tile_px=tile_px) == compare_tiled(a, b, tile_px=tile_px)
+    with pytest.raises(ParameterError, match="tile_px must be >= 1, got 0"):
+        compare_grid_files(tmp_path / "missing.asc", tmp_path / "missing.asc", tile_px=0)
 
 
 def test_cli_dtm_from_las_file(tmp_path):
