@@ -23,6 +23,8 @@ from .ingest import _lf_lines, format_6f_blocks, loadtxt_f64, write_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
+# the header's NODATA_value and the token of every non-finite cell
+_NODATA_TOKEN = f"{NODATA:.0f}"
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 # bytes read at a time; each block is cut back to its last LF.  A block
 # holds about 5.5 times its size while it is parsed (its copies, loadtxt's
@@ -41,9 +43,9 @@ def _grid_chunks(values: np.ndarray, grid: GridSpec) -> Iterator[bytes]:
         f"xllcorner {grid.origin_x:.6f}\n"
         f"yllcorner {grid.origin_y:.6f}\n"
         f"cellsize {grid.cell:.6f}\n"
-        "NODATA_value -9999\n"
+        f"NODATA_value {_NODATA_TOKEN}\n"
     )
-    rows = format_6f_blocks(np.flipud(values), nonfinite=b"-9999")
+    rows = format_6f_blocks(np.flipud(values), nonfinite=_NODATA_TOKEN.encode("ascii"))
     return itertools.chain([header.encode("ascii")], rows)
 
 
@@ -226,22 +228,22 @@ def _read_blocks(path, fh) -> Iterator:
         )
 
 
-def _row_bands(blocks, nrows: int, band_rows: int, fill) -> Iterator[slice]:
-    """Hand the body ``_read_blocks`` yields to ``fill`` in bands of raster rows, north first.
+def _row_bands(blocks, bands: list[slice], fill) -> Iterator[slice]:
+    """Hand the body ``_read_blocks`` yields to ``fill`` in ``bands`` of raster rows.
 
-    Bands are cut every ``band_rows`` rows from row 0 (south), so the
-    northmost band, the first read, may be partial.  For each band,
+    ``bands`` are the caller's slices of raster rows, north first as the
+    file stores them, that cover every row without gap or overlap (the
+    tile rows of ``tiling._spans``, reversed).  For each band,
     ``fill(rows, values)`` is called on the pieces of blocks that cover
     it, ``rows`` counted from the band's southmost row, and then the
-    band's slice of raster rows is yielded.  A block that reaches past a
-    band is cut, and its rest is held for the next band, so a file is
-    read one block ahead at most.  Resumed after the last band, it reads
-    the blocks to their end, which raises a fault past the last row.
+    band is yielded.  A block that reaches past a band is cut, and its
+    rest is held for the next band, so a file is read one block ahead at
+    most.  Resumed after the last band, it reads the blocks to their
+    end, which raises a fault past the last row.
     """
     held = None  # the rows of a block not yet filled in, from raster row start
-    for lo in range((nrows - 1) // band_rows * band_rows, -1, -band_rows):
-        top = min(nrows, lo + band_rows)
-        band = slice(lo, top)
+    for band in bands:
+        lo, top = band.start, band.stop
         while top > lo:
             if held is None:
                 rows, held = next(blocks)

@@ -138,22 +138,23 @@ def _crop_bbox(values) -> BBox:
         raise ParameterError(f"bad --crop extent: {exc}") from None
 
 
+def _cloud_config(args, **params) -> PipelineConfig:
+    """A point-cloud command's checked parameters; made first, so a bad one exits 3 before I/O."""
+    return PipelineConfig(cell=args.cell, strict_parse=args.strict, workers=args.workers, **params)
+
+
 def _cmd_dtm(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = PipelineConfig(
-        cell=args.cell,
-        filter_params=FilterParams(
-            args.slope_threshold, args.a1, args.a2, args.rectangularity
-        ),
+    cfg = _cloud_config(
+        args,
+        filter_params=FilterParams(args.slope_threshold, args.a1, args.a2, args.rectangularity),
         water_params=WaterParams(
             args.window, args.confidence, args.percentile, args.min_segment_px
         ),
-        strict_parse=args.strict,
-        workers=args.workers,
         crop=None if args.crop is None else _crop_bbox(args.crop),
         intermediates=args.emit_intermediates,
     )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     res = run_pipeline(args.input, cfg)
 
     grid = res.dtm.grid
@@ -203,20 +204,19 @@ def _write_water_csv(path: Path, wmap) -> None:
             writer.writerow([seg.id, seg.pixel_count, f"{seg.elevation:.6f}"])
 
 
-def _read_to_dsm(args):
-    # the config checks --cell and --workers before the input is read
-    cfg = PipelineConfig(cell=args.cell, strict_parse=args.strict, workers=args.workers)
-    pc = read_points(args.input, cfg.strict_parse)
+def _read_to_dsm(path, cfg: PipelineConfig):
+    pc = read_points(path, cfg.strict_parse)
     return rasterize_min(pc, make_grid_spec(bounds(pc), cfg.cell), cfg.workers)
 
 
 def _cmd_slope(args) -> int:
+    cfg = _cloud_config(args, filter_params=FilterParams(args.slope_threshold))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sparse = _read_to_dsm(args)
+    sparse = _read_to_dsm(args.input, cfg)
     dsm = fill_voids_nearest(sparse)
     slp = slope_map(dsm)
-    mask = break_line_mask(slp, args.slope_threshold)
+    mask = break_line_mask(slp, cfg.filter_params.tau_deg)
     write_ascii_grid(slp.slope_deg, slp.grid, out / "slope.asc")
     write_ascii_grid(mask.is_break, mask.grid, out / "break_mask.asc")
     print(f"slope map written to {out / 'slope.asc'}")
@@ -224,10 +224,11 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_water(args) -> int:
+    wp = WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
+    cfg = _cloud_config(args, water_params=wp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wp = WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
-    sparse = _read_to_dsm(args)
+    sparse = _read_to_dsm(args.input, cfg)
     threshold = water_threshold(sparse.occupancy, wp)
     mask = water_mask(sparse.occupancy, threshold, wp.window)
     wmap = water_segments(mask, sparse, wp)
@@ -262,12 +263,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    scn = load_scene(Path(args.scene))  # a path, never scene text
+    grid = make_grid_spec(scn.extent, args.cell)
+    pc = sample_points(scn, density=args.density, seed=args.seed)  # checks density and seed first
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scn = load_scene(Path(args.scene))  # a path, never scene text
-    pc = sample_points(scn, density=args.density, seed=args.seed)
     write_points_xyz(pc, out / "points.xyz")
-    grid = make_grid_spec(scn.extent, args.cell)
     truth = truth_rasters(scn, grid)
     write_ascii_grid(truth.dtm, grid, out / "truth_dtm.asc")
     write_ascii_grid(truth.ground_mask, grid, out / "truth_ground.asc")

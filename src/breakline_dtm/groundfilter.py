@@ -158,9 +158,6 @@ def _region_boundary_corners(seg: Segmentation) -> tuple[np.ndarray, list[np.nda
 def region_stats(seg: Segmentation) -> RegionStats:
     """Pixel counts, areas and rectangularity for every region."""
     n = seg.region_count
-    if n == 0:
-        empty = np.empty(0)
-        return RegionStats(np.empty(0, dtype=np.int64), empty, empty.copy(), empty.copy())
     counts, region_corners = _region_boundary_corners(seg)
     cell2 = seg.grid.cell * seg.grid.cell
     area = counts * cell2

@@ -7,7 +7,10 @@ Sampling uses a counter-based Philox generator, so a (scene, seed) pair
 reproduces the same point cloud byte for byte on any platform.
 
 Scene description files are line-oriented: the first token names the
-feature, the rest are key=value pairs.  ``#`` starts a comment.
+feature, the rest are key=value pairs.  ``#`` starts a comment.  A key
+is the name of a field of the feature's dataclass, and a key left out
+takes that field's default; a building's ``angle`` fills ``angle_deg``
+and a valley's ``depth`` is a negative ``Hill.height``.
 
     extent min_x=0 min_y=0 max_x=500 max_y=500
     density value=4.0
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import errno
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,24 @@ def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
     return kv
 
 
+def _feature(cls, kv: dict[str, str], *head, **keys: str):
+    """``cls(*head, ...)``, each further field a float read from ``kv``, in field order.
+
+    A field's key is its name, or ``keys[name]``; a key left out takes
+    the field's default, or raises KeyError naming the key.
+    """
+    args = list(head)
+    for f in fields(cls)[len(head) :]:
+        key = keys.get(f.name, f.name)
+        if key in kv:
+            args.append(float(kv[key]))
+        elif f.default is MISSING:
+            raise KeyError(key)
+        else:
+            args.append(f.default)
+    return cls(*args)
+
+
 def load_scene(source) -> Scene:
     """Parse a scene description file (path, text, or file-like)."""
     if hasattr(source, "read"):
@@ -304,14 +325,8 @@ def load_scene(source) -> Scene:
         else:
             raise FileNotFoundError(errno.ENOENT, "no such scene file", str(source))
 
-    extent: BBox | None = None
-    density = 4.0
-    seed = 0
-    plane = Plane()
-    hills: list[Hill] = []
-    buildings: list[Building] = []
-    ramps: list[Ramp] = []
-    waters: list[WaterBody] = []
+    given: dict = {}  # extent, density, seed and plane as set; unset ones keep Scene's defaults
+    hills, buildings, ramps, waters = [], [], [], []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -321,86 +336,31 @@ def load_scene(source) -> Scene:
         kv = _parse_kv(rest, lineno)
         try:
             if kind == "extent":
-                extent = BBox(
-                    float(kv["min_x"]),
-                    float(kv["min_y"]),
-                    float(kv["max_x"]),
-                    float(kv["max_y"]),
-                )
+                given["extent"] = _feature(BBox, kv)
             elif kind == "density":
-                density = float(kv["value"])
+                given["density"] = float(kv["value"])
             elif kind == "seed":
-                seed = int(kv["value"])
+                given["seed"] = int(kv["value"])
             elif kind == "plane":
-                plane = Plane(
-                    float(kv.get("base", 0)),
-                    float(kv.get("slope_x", 0)),
-                    float(kv.get("slope_y", 0)),
-                )
+                given["plane"] = _feature(Plane, kv)
             elif kind == "hill":
-                hills.append(
-                    Hill(
-                        float(kv["cx"]),
-                        float(kv["cy"]),
-                        float(kv["sigma"]),
-                        float(kv["height"]),
-                    )
-                )
+                hills.append(_feature(Hill, kv))
             elif kind == "valley":
-                hills.append(
-                    Hill(
-                        float(kv["cx"]),
-                        float(kv["cy"]),
-                        float(kv["sigma"]),
-                        -float(kv["depth"]),
-                    )
-                )
+                hill = _feature(Hill, kv, height="depth")
+                hills.append(replace(hill, height=-hill.height))
             elif kind == "building":
-                buildings.append(
-                    Building(
-                        float(kv["x"]),
-                        float(kv["y"]),
-                        float(kv["width"]),
-                        float(kv["depth"]),
-                        float(kv["height"]),
-                        float(kv.get("angle", 0)),
-                    )
-                )
+                buildings.append(_feature(Building, kv, angle_deg="angle"))
             elif kind == "ramp":
-                ramps.append(
-                    Ramp(
-                        float(kv["x0"]),
-                        float(kv["y0"]),
-                        float(kv["x1"]),
-                        float(kv["y1"]),
-                        float(kv["width"]),
-                        float(kv["height"]),
-                        float(kv.get("slope_deg", 30)),
-                    )
-                )
+                ramps.append(_feature(Ramp, kv))
             elif kind == "water":
-                waters.append(
-                    WaterBody(
-                        _rect_polygon(
-                            float(kv["x"]),
-                            float(kv["y"]),
-                            float(kv["width"]),
-                            float(kv["height"]),
-                        ),
-                        float(kv["level"]),
-                        float(kv.get("suppression", 0.02)),
-                    )
-                )
+                rect = _rect_polygon(*(float(kv[k]) for k in ("x", "y", "width", "height")))
+                waters.append(_feature(WaterBody, kv, rect))
             elif kind == "waterpoly":
                 pts = tuple(
                     tuple(float(v) for v in pair.split(","))
                     for pair in kv["points"].split(";")
                 )
-                waters.append(
-                    WaterBody(
-                        pts, float(kv["level"]), float(kv.get("suppression", 0.02))
-                    )
-                )
+                waters.append(_feature(WaterBody, kv, pts))
             else:
                 raise ParameterError(f"scene line {lineno}: unknown feature {kind!r}")
         except KeyError as exc:
@@ -408,6 +368,6 @@ def load_scene(source) -> Scene:
         except ValueError as exc:
             raise ParameterError(f"scene line {lineno}: {exc}") from None
 
-    if extent is None:
+    if "extent" not in given:
         raise ParameterError("scene file must declare an extent")
-    return Scene(extent, density, seed, plane, hills, buildings, ramps, waters)
+    return Scene(**given, hills=hills, buildings=buildings, ramps=ramps, waters=waters)

@@ -107,7 +107,7 @@ def compare_grid_files(path_a, path_b, mask=None, tile_px: int = 1000) -> TileRe
                 if k == 0:
                     grid = grid_k
                 elif grid_k != grid:
-                    raise InputDataError(
+                    raise GridMismatchError(
                         f"grids differ: {grid} vs {grid_k}" if k == 1
                         else "mask grid differs from the compared rasters"
                     )
@@ -118,12 +118,12 @@ def compare_grid_files(path_a, path_b, mask=None, tile_px: int = 1000) -> TileRe
                 lambda rs, values: np.subtract(diff[rs], values, out=diff[rs]),
                 lambda rs, values: np.greater(np.abs(values), 0, out=exclude[rs]),
             ]
-            bands = [_row_bands(blocks, grid.nrows, tile_px, fill)
-                     for blocks, fill in zip(readers, fills)]
+            spans = _spans(grid.nrows, tile_px)[::-1]  # north first, as the files store rows
+            bands = [_row_bands(blocks, spans, fill) for blocks, fill in zip(readers, fills)]
             rows = []  # band_sums of each tile row, north first
-            for _ in range(math.ceil(grid.nrows / tile_px)):
+            for band in spans:
                 for k, file_bands in enumerate(bands):
-                    band = next(file_bands)  # the same rows in every file
+                    next(file_bands)
                 height = band.stop - band.start
                 ex = None if mask is None else exclude[:height]
                 rows.append(band_sums(diff[:height], ex, tile_px))

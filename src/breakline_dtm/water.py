@@ -160,13 +160,11 @@ def water_segments(mask: np.ndarray, sparse: SparseDsm, wp: WaterParams) -> Wate
         return WaterMap(sparse.grid, np.zeros_like(mask), lab, [])
 
     counts = np.bincount(lab.ravel(), minlength=n + 1)
-    keep = np.flatnonzero(counts[1:] >= max(0, wp.min_segment_px)) + 1
+    keep = np.flatnonzero(counts[1:] >= wp.min_segment_px) + 1
     lut = np.zeros(n + 1, dtype=np.int32)
     lut[keep] = np.arange(1, keep.size + 1, dtype=np.int32)
     lab = lut[lab]
     n = int(keep.size)
-    if n == 0:
-        return WaterMap(sparse.grid, np.zeros_like(mask), lab, [])
 
     occupied = sparse.occupancy > 0
     elev = sparse.elev.ravel()

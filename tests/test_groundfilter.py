@@ -61,6 +61,10 @@ def test_all_break_yields_zero_regions():
     seg = label_regions(break_mask(np.ones((5, 5), dtype=bool)))
     assert seg.region_count == 0
     assert (seg.label == 0).all()
+    stats = region_stats(seg)
+    assert stats.pixel_count.shape == (0,) and stats.pixel_count.dtype == np.int64
+    for values in (stats.area_m2, stats.mbr_area_m2, stats.rectangularity):
+        assert values.shape == (0,) and values.dtype == np.float64
 
 
 def test_diagonal_wall_seals_with_4_connectivity():

@@ -19,7 +19,12 @@ from scipy import ndimage
 from breakline_dtm import asciigrid, pipeline
 from breakline_dtm.asciigrid import format_ascii_grid, read_ascii_grid, write_ascii_grid
 from breakline_dtm.cli import main
-from breakline_dtm.errors import EmptyInputError, InputDataError, ParameterError
+from breakline_dtm.errors import (
+    EmptyInputError,
+    GridMismatchError,
+    InputDataError,
+    ParameterError,
+)
 from breakline_dtm.groundfilter import FilterParams
 from breakline_dtm.ingest import BBox, PointCloud, write_points_xyz
 from breakline_dtm.interp import SOURCE_INTERPOLATED
@@ -552,6 +557,11 @@ def test_cli_compare_other_grid_is_reported_before_its_body(tmp_path, capsys):
     assert run_cli(["compare", a, a, "--mask", other, "--out", tmp_path / "t.csv"]) == 2
     err = capsys.readouterr().err
     assert err == "input error: mask grid differs from the compared rasters\n"
+    # the fault compare_tiled raises for rasters on different grids
+    with pytest.raises(GridMismatchError, match="^grids differ: "):
+        compare_grid_files(a, other)
+    with pytest.raises(GridMismatchError, match="^mask grid differs from the compared rasters$"):
+        compare_grid_files(a, a, other)
 
 
 def _read_in_turn(a, b, mask):
@@ -560,9 +570,9 @@ def _read_in_turn(a, b, mask):
         grid = whole_file_ascii_grid(a)[1]
         grid_b = whole_file_ascii_grid(b)[1]
         if grid_b != grid:
-            raise InputDataError(f"grids differ: {grid} vs {grid_b}")
+            raise GridMismatchError(f"grids differ: {grid} vs {grid_b}")
         if mask is not None and whole_file_ascii_grid(mask)[1] != grid:
-            raise InputDataError("mask grid differs from the compared rasters")
+            raise GridMismatchError("mask grid differs from the compared rasters")
     except (InputDataError, OSError) as exc:
         return 2, f"input error: {exc}\n"
     return 0, ""
@@ -881,6 +891,10 @@ def test_cli_crop_writes_water_segments_inside_window(tmp_path, crop_points):
             for command in ("dtm", "slope", "water")
             for flag in (["--workers", "0"], ["--cell", "0"])
         ),
+        ["slope", "{missing}", "--slope-threshold", "95"],
+        ["dtm", "{missing}", "--slope-threshold", "95"],
+        ["water", "{missing}", "--window", "4"],
+        ["synth", "{scene}", "--cell", "0"],
     ],
 )
 def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
@@ -891,3 +905,4 @@ def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
     argv = [a.format(pts=pts, scene=scene, missing=tmp_path / "missing.xyz") for a in argv]
     assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 3
     assert capsys.readouterr().err.startswith("parameter error: ")
+    assert not (tmp_path / "out").exists()  # nor is any output made

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from breakline_dtm import scene
 
 from breakline_dtm.errors import EmptyExtentError, ParameterError
 from breakline_dtm.ingest import BBox
@@ -198,3 +202,127 @@ def test_points_in_polygon_vectorized_matches_oracle():
     got = points_in_polygon(px, py, poly)
     expected = [point_in_polygon(x, y, [tuple(p) for p in poly]) for x, y in zip(px, py)]
     assert got.tolist() == expected
+
+
+def _features(scn):
+    return [scn.extent, scn.plane, *scn.hills, *scn.buildings, *scn.ramps, *scn.waters]
+
+
+def test_load_scene_parses_the_module_docstring_example():
+    # every feature kind, every key written out
+    example = "\n".join(
+        line for line in scene.__doc__.splitlines() if line.startswith("    ")
+    )
+    rect = ((30.0, 30.0), (130.0, 30.0), (130.0, 90.0), (30.0, 90.0))
+    assert load_scene(example) == Scene(
+        BBox(0, 0, 500, 500),
+        4.0,
+        42,
+        Plane(100, 0, 0),
+        hills=[Hill(250, 250, 40, 8), Hill(100, 100, 12, -25)],
+        buildings=[Building(120, 300, 20, 30, 12, 0)],
+        ramps=[Ramp(50, 200, 170, 200, 6, 12, 30)],
+        waters=[WaterBody(rect, 95, 0.02), WaterBody(rect, 95, 0.02)],
+    )
+
+
+def test_load_scene_optional_keys_take_the_dataclass_defaults():
+    scn = load_scene(
+        "extent min_x=0 min_y=0 max_x=10 max_y=10\n"
+        "plane\n"
+        "hill cx=1 cy=2 sigma=3 height=4\n"
+        "valley cx=1 cy=2 sigma=3 depth=4\n"
+        "building x=1 y=2 width=3 depth=4 height=5\n"
+        "ramp x0=1 y0=2 x1=3 y1=4 width=5 height=6\n"
+        "water x=1 y=2 width=3 height=4 level=5\n"
+        "waterpoly points=0,0;1,0;0,1 level=5\n"
+    )
+    assert scn == Scene(
+        BBox(0, 0, 10, 10),
+        hills=[Hill(1, 2, 3, 4), Hill(1, 2, 3, -4)],
+        buildings=[Building(1, 2, 3, 4, 5)],
+        ramps=[Ramp(1, 2, 3, 4, 5, 6)],
+        waters=[
+            WaterBody(_rect_polygon(1.0, 2.0, 3.0, 4.0), 5),
+            WaterBody(((0, 0), (1, 0), (0, 1)), 5),
+        ],
+    )
+    assert (scn.density, scn.seed, scn.plane) == (4.0, 0, Plane(0, 0, 0))
+    assert scn.buildings[0].angle_deg == 0 and scn.ramps[0].slope_deg == 30
+    assert [w.suppression for w in scn.waters] == [0.02, 0.02]
+    # every value read or defaulted is a float
+    for feature in _features(scn):
+        for f in dataclasses.fields(feature):
+            value = getattr(feature, f.name)
+            values = [v for pt in value for v in pt] if f.name == "polygon" else [value]
+            assert all(type(v) is float for v in values), (feature, f.name)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("extent min_x=0 max_y=1", "min_y"),
+        ("density", "value"),
+        ("seed", "value"),
+        ("hill cx=1 height=2", "cy"),
+        ("hill cy=2 sigma=3", "cx"),
+        ("valley cx=1 cy=2 height=3", "sigma"),
+        ("valley cx=1 cy=2 sigma=3 height=4", "depth"),
+        ("building x=1 width=2 angle_deg=5", "y"),
+        ("building x=1 y=2 width=3 height=5 angle=7", "depth"),
+        ("ramp x0=1 y1=2 height=3 slope_deg=20", "y0"),
+        ("ramp x0=1 y0=2 x1=3 y1=4 height=6", "width"),
+        ("water x=1 y=2 level=3", "width"),
+        ("water x=1 y=2 width=3 height=4 suppression=0.5", "level"),
+        ("waterpoly suppression=0.1", "points"),
+        ("waterpoly points=0,0;1,0;0,1 suppression=0.1", "level"),
+    ],
+)
+def test_load_scene_names_the_first_missing_key(line, key):
+    with pytest.raises(ParameterError) as exc:
+        load_scene("extent min_x=0 min_y=0 max_x=1 max_y=1\n" + line)
+    assert str(exc.value) == f"scene line 2: missing key '{key}'"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # keys are read in field order: a bad value before a missing key is named
+        ("hill cx=abc", "could not convert string to float: 'abc'"),
+        ("hill cx=1 cy=zz", "could not convert string to float: 'zz'"),
+        ("water x=1 y=q level=3", "could not convert string to float: 'q'"),
+        ("seed value=1.5", "invalid literal for int() with base 10: '1.5'"),
+        (
+            "extent min_x=2 min_y=0 max_x=1 max_y=1",
+            "inverted bbox: BBox(min_x=2.0, min_y=0.0, max_x=1.0, max_y=1.0)",
+        ),
+    ],
+)
+def test_load_scene_names_the_first_bad_value(line, message):
+    with pytest.raises(ParameterError) as exc:
+        load_scene("extent min_x=0 min_y=0 max_x=1 max_y=1\n" + line)
+    assert str(exc.value) == f"scene line 2: {message}"
+
+
+def test_load_scene_ignores_keys_the_syntax_does_not_define():
+    scn = load_scene(
+        "extent min_x=0 min_y=0 max_x=10 max_y=10 colour=red\n"
+        "plane base=1 slope=9\n"
+        "hill cx=1 cy=2 sigma=3 height=4 depth=9\n"
+        "valley cx=1 cy=2 sigma=3 depth=4 height=9\n"
+        "building x=1 y=2 width=3 depth=4 height=5 angle_deg=45\n"
+        "ramp x0=1 y0=2 x1=3 y1=4 width=5 height=6 angle=9\n"
+        "water x=1 y=2 width=3 height=4 level=5 polygon=0 points=0,0;1,0;0,1\n"
+        "waterpoly points=0,0;1,0;0,1 level=5 x=1 polygon=0\n"
+    )
+    assert scn == load_scene(
+        "extent min_x=0 min_y=0 max_x=10 max_y=10\n"
+        "plane base=1\n"
+        "hill cx=1 cy=2 sigma=3 height=4\n"
+        "valley cx=1 cy=2 sigma=3 depth=4\n"
+        "building x=1 y=2 width=3 depth=4 height=5\n"
+        "ramp x0=1 y0=2 x1=3 y1=4 width=5 height=6\n"
+        "water x=1 y=2 width=3 height=4 level=5\n"
+        "waterpoly points=0,0;1,0;0,1 level=5\n"
+    )
+    assert scn.hills[1].height == -4.0 and scn.buildings[0].angle_deg == 0.0

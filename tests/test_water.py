@@ -212,6 +212,17 @@ def test_min_segment_px_filters_speckles():
     assert wm.is_water.sum() == 9
 
 
+def test_min_segment_px_can_drop_every_segment():
+    occ = np.ones((6, 6), dtype=np.int64)
+    elev = np.ones((6, 6))
+    mask = np.zeros((6, 6), bool)
+    mask[1, 1] = mask[4, 2:5] = True
+    wm = water_segments(mask, sparse_from(elev, occ), WaterParams(min_segment_px=4))
+    assert wm.segments == []
+    assert wm.is_water.dtype == bool and not wm.is_water.any()
+    assert wm.label.dtype == np.int32 and not wm.label.any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
