@@ -40,34 +40,36 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--slope-threshold",
         type=float,
-        default=45.0,
+        default=FilterParams.tau_deg,
         help="break-line slope threshold in degrees",
     )
-    p.add_argument("--a1", type=float, default=40_000.0, help="low area limit in m^2")
-    p.add_argument("--a2", type=float, default=100_000.0, help="high area limit in m^2")
+    p.add_argument("--a1", type=float, default=FilterParams.a1_m2, help="low area limit in m^2")
+    p.add_argument("--a2", type=float, default=FilterParams.a2_m2, help="high area limit in m^2")
     p.add_argument(
         "--rectangularity",
         type=float,
-        default=0.5,
+        default=FilterParams.r,
         help="rectangularity limit for mid-sized regions",
     )
 
 
 def _add_water_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=9, help="water detection window (odd)")
     p.add_argument(
-        "--confidence", type=float, default=4.0, help="confidence multiplier k"
+        "--window", type=int, default=WaterParams.window, help="water detection window (odd)"
+    )
+    p.add_argument(
+        "--confidence", type=float, default=WaterParams.k, help="confidence multiplier k"
     )
     p.add_argument(
         "--percentile",
         type=float,
-        default=0.10,
+        default=WaterParams.percentile,
         help="per-segment elevation percentile",
     )
     p.add_argument(
         "--min-segment-px",
         type=int,
-        default=0,
+        default=WaterParams.min_segment_px,
         help="drop water segments smaller than this many pixels",
     )
 
@@ -79,13 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags of every subcommand that reads a point cloud
+    # the flags of every subcommand that reads a point cloud; defaults are the dataclasses'
     cloud = argparse.ArgumentParser(add_help=False)
     cloud.add_argument("input", help="point cloud file (XYZ text or LAS)")
     cloud.add_argument("--out-dir", default=".", help="output directory")
-    cloud.add_argument("--cell", type=float, default=0.5, help="grid cell size in meters")
+    cloud.add_argument(
+        "--cell", type=float, default=PipelineConfig.cell, help="grid cell size in meters"
+    )
     cloud.add_argument("--strict", action="store_true", help="abort on the first malformed record")
-    cloud.add_argument("--workers", type=int, default=1, help="threads for rasterization (>= 1)")
+    cloud.add_argument(
+        "--workers",
+        type=int,
+        default=PipelineConfig.workers,
+        help="threads for rasterization (>= 1)",
+    )
 
     p_dtm = sub.add_parser("dtm", parents=[cloud], help="run the full pipeline")
     _add_filter_flags(p_dtm)
@@ -105,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_slope = sub.add_parser("slope", parents=[cloud], help="slope map and break-line mask only")
-    p_slope.add_argument("--slope-threshold", type=float, default=45.0)
+    p_slope.add_argument("--slope-threshold", type=float, default=FilterParams.tau_deg)
 
     p_water = sub.add_parser("water", parents=[cloud], help="water mask and segment table only")
     _add_water_flags(p_water)
@@ -125,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, help="override the scene seed")
     p_synth.add_argument("--density", type=float, help="override points per m^2")
     return parser
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _crop_bbox(values) -> BBox:
@@ -153,9 +158,10 @@ def _cmd_dtm(args) -> int:
         crop=None if args.crop is None else _crop_bbox(args.crop),
         intermediates=args.emit_intermediates,
     )
+    res = run_pipeline(args.input, cfg)
+    # made once the results exist, so a run that fails leaves no directory
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    res = run_pipeline(args.input, cfg)
 
     grid = res.dtm.grid
     writes_s: dict[str, float] = {}
@@ -184,7 +190,7 @@ def _cmd_dtm(args) -> int:
     _write_water_csv(out / "water_segments.csv", res.water)
     # written last, so the report can carry the time and memory of every raster write
     report = {**res.report, "writes_s": writes_s, "writes_peak_rss_mb": round(_peak_rss_mb(), 3)}
-    _write_json(out / "report.json", report)
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     print(f"DTM written to {out / 'dtm.asc'}")
     print(
@@ -211,12 +217,12 @@ def _read_to_dsm(path, cfg: PipelineConfig):
 
 def _cmd_slope(args) -> int:
     cfg = _cloud_config(args, filter_params=FilterParams(args.slope_threshold))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sparse = _read_to_dsm(args.input, cfg)
     dsm = fill_voids_nearest(sparse)
     slp = slope_map(dsm)
     mask = break_line_mask(slp, cfg.filter_params.tau_deg)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(slp.slope_deg, slp.grid, out / "slope.asc")
     write_ascii_grid(mask.is_break, mask.grid, out / "break_mask.asc")
     print(f"slope map written to {out / 'slope.asc'}")
@@ -226,12 +232,12 @@ def _cmd_slope(args) -> int:
 def _cmd_water(args) -> int:
     wp = WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
     cfg = _cloud_config(args, water_params=wp)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sparse = _read_to_dsm(args.input, cfg)
     threshold = water_threshold(sparse.occupancy, wp)
-    mask = water_mask(sparse.occupancy, threshold, wp.window)
+    mask = water_mask(sparse.occupancy, threshold, wp)
     wmap = water_segments(mask, sparse, wp)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(wmap.is_water, wmap.grid, out / "water_mask.asc")
     _write_water_csv(out / "water_segments.csv", wmap)
     nonvoid = int((sparse.occupancy > 0).sum())

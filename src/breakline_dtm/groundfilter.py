@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .raster import GridSpec
-from .slope import BreakMask
+from .slope import BreakMask, _check_threshold
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.int8)
 
@@ -31,8 +31,7 @@ class FilterParams:
     r: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau_deg < 90.0:
-            raise ParameterError(f"tau_deg must be in (0, 90), got {self.tau_deg}")
+        _check_threshold(self.tau_deg)
         if not 0.0 < self.a1_m2 <= self.a2_m2:
             raise ParameterError(
                 f"need 0 < a1 <= a2, got a1={self.a1_m2} a2={self.a2_m2}"

@@ -66,8 +66,8 @@ class PipelineConfig:
     strict_parse: bool = False
     workers: int = 1
     crop: BBox | None = None
-    # keep the DSM, slope, break and label rasters in the result; without
-    # them each is freed once its last stage has read it
+    # keep the sparse DSM and the DSM, slope, break and label rasters in the
+    # result; without them each is freed once its last stage has read it
     intermediates: bool = True
 
     def __post_init__(self) -> None:
@@ -98,7 +98,7 @@ class PipelineResult:
     dtm: DtmRaster
     ground: GroundMask
     water: WaterMap
-    sparse: SparseDsm
+    sparse: SparseDsm | None
     dsm: Dsm | None
     slope: SlopeMap | None
     breaks: BreakMask | None
@@ -150,7 +150,7 @@ class _StageTimer:
 
 
 def crop_window(grid: GridSpec, crop: BBox) -> tuple[slice, slice, GridSpec]:
-    """Cell window covering ``crop``; used to trim buffered runs to the target area."""
+    """Cell window covering ``crop``; ``run_pipeline`` decides it before binning a point."""
     c0 = max(0, int(np.floor((crop.min_x - grid.origin_x) / grid.cell + 1e-9)))
     r0 = max(0, int(np.floor((crop.min_y - grid.origin_y) / grid.cell + 1e-9)))
     c1 = min(grid.ncols, int(np.ceil((crop.max_x - grid.origin_x) / grid.cell - 1e-9)))
@@ -199,11 +199,13 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
 
     bbox = timer.run("bounds", lambda: bounds(pc))
     grid = make_grid_spec(bbox, cfg.cell)
+    window = None if cfg.crop is None else crop_window(grid, cfg.crop)
     sparse = timer.run("rasterize", lambda: rasterize_min(pc, grid, cfg.workers))
     points = {
         "points": pc.count,
         "dropped_nonfinite": pc.dropped_nonfinite,
         "skipped_records": pc.skipped_records,
+        "out_of_bounds": sparse.oob_dropped,
     }
     del pc  # binned: the points read here are freed; a caller's cloud stays the caller's
     dsm = timer.run("fill_voids", lambda: fill_voids_nearest(sparse))
@@ -227,15 +229,16 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
         "water_threshold", lambda: water_threshold(sparse.occupancy, cfg.water_params)
     )
     wmask = timer.run(
-        "water_mask",
-        lambda: water_mask(sparse.occupancy, threshold, cfg.water_params.window),
+        "water_mask", lambda: water_mask(sparse.occupancy, threshold, cfg.water_params)
     )
     wmap = timer.run(
         "water_segments", lambda: water_segments(wmask, sparse, cfg.water_params)
     )
+    nonvoid = int((sparse.occupancy > 0).sum())
+    if not cfg.intermediates:
+        sparse = None
     dtm = timer.run("apply_water", lambda: apply_water(dtm_land, wmap))
 
-    nonvoid = int((sparse.occupancy > 0).sum())
     # counted code by code on the uint8 raster: bincount would cast it to int64
     source_px = {
         name: int(np.count_nonzero(dtm.source == code))
@@ -247,12 +250,12 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     }
     report = {
         "parameters": cfg.parameter_echo(),
-        "input": {**points, "out_of_bounds": sparse.oob_dropped},
+        "input": points,
         "grid": asdict(grid),
         "density": {
             "nonvoid_cells": nonvoid,
-            "total_cells": int(sparse.occupancy.size),
-            "P": nonvoid / sparse.occupancy.size,
+            "total_cells": grid.nrows * grid.ncols,
+            "P": nonvoid / (grid.nrows * grid.ncols),
             "water_threshold": int(threshold),
         },
         "regions": {
@@ -271,19 +274,18 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     }
 
     result = PipelineResult(dtm, ground, wmap, sparse, dsm, slp, breaks, seg, stats, report)
-    if cfg.crop is not None:
-        result = _crop_result(result, cfg.crop)
+    if window is not None:
+        result = _crop_result(result, *window)
     return result
 
 
-def _crop_result(res: PipelineResult, crop: BBox) -> PipelineResult:
-    """Cut every raster field (one that carries a ``grid``) to the crop window.
+def _crop_result(res: PipelineResult, rs: slice, cs: slice, sub: GridSpec) -> PipelineResult:
+    """Cut every raster field (one that carries a ``grid``) to the window ``crop_window`` gave.
 
     Scalars, ``stats`` and ``report`` describe the full run and stay as
     they are.  Water segments keep their pixels inside the window; a
     segment with none there is dropped.
     """
-    rs, cs, sub = crop_window(res.dtm.grid, crop)
     res.report["grid_cropped"] = asdict(sub)
 
     def cut(raster):

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -157,32 +155,25 @@ def _bin_min_count(
 def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
     """Bin points into the grid keeping the lowest elevation per cell.
 
-    The points are split into ``workers`` chunks: the caller's thread bins
-    the first, a pool of at most ``os.cpu_count()`` threads the rest.  The
-    min/count merge is commutative and exact, so the result is independent
-    of the partitioning and of thread scheduling.  The pool holds at most
-    one chunk per thread in flight; the caller merges whichever finishes
-    first and submits the next, so at most threads + 1 grid-sized partial
-    results are alive at once.  ``workers`` < 1 is a ParameterError.
+    The points are split into at most threads + 1 chunks, where threads,
+    the pool's size, is ``workers`` - 1, at least 1 and at most
+    ``os.cpu_count()``.  The pool gets every chunk but the first at once;
+    the caller's thread bins the first, then merges the others in order.
+    The min/count merge is exact, so the result is independent of the
+    partitioning and of thread scheduling.  ``workers`` < 1 is a ParameterError.
     """
     _check_workers(workers)
-    first, *rest = np.array_split(pc.xyz, workers)
-    threads = min(max(1, len(rest)), os.cpu_count() or 1)
-    chunks = iter(rest)
-    finished: SimpleQueue[Future] = SimpleQueue()
+    threads = min(max(1, workers - 1), os.cpu_count() or 1)
+    first, *rest = np.array_split(pc.xyz, min(workers, threads + 1))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in islice(chunks, threads):
-            pool.submit(_bin_min_count, chunk, grid).add_done_callback(finished.put)
+        futures = [pool.submit(_bin_min_count, chunk, grid) for chunk in rest]
         elev, occ, dropped = _bin_min_count(first, grid)
-        for _ in rest:
-            e, o, d = finished.get().result()
+        while futures:
+            e, o, d = futures.pop(0).result()
             np.minimum(elev, e, out=elev)
             occ += o
             dropped += d
-            del e, o  # merged: free this partial before the next is binned
-            chunk = next(chunks, None)
-            if chunk is not None:
-                pool.submit(_bin_min_count, chunk, grid).add_done_callback(finished.put)
+            del e, o  # merged: free this partial
 
     elev = elev.reshape(grid.shape)
     occ = occ.reshape(grid.shape)

@@ -72,10 +72,14 @@ def slope_map(dsm: Dsm) -> SlopeMap:
     return SlopeMap(dsm.grid, deg)
 
 
-def break_line_mask(slope: SlopeMap, tau_deg: float) -> BreakMask:
-    """Pixels strictly steeper than ``tau_deg``, plus the stamped data edge."""
+def _check_threshold(tau_deg: float) -> None:
     if not 0.0 < tau_deg < 90.0:
         raise BadThresholdError(f"slope threshold must be in (0, 90), got {tau_deg}")
+
+
+def break_line_mask(slope: SlopeMap, tau_deg: float) -> BreakMask:
+    """Pixels strictly steeper than ``tau_deg``, plus the stamped data edge."""
+    _check_threshold(tau_deg)
     mask = slope.slope_deg > tau_deg
     mask[0, :] = True
     mask[-1, :] = True

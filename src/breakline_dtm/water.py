@@ -101,21 +101,19 @@ def window_sums(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, visible
 
 
-def water_mask(occupancy: np.ndarray, threshold: int, window: int) -> np.ndarray:
+def water_mask(occupancy: np.ndarray, threshold: int, wp: WaterParams) -> np.ndarray:
     """Pixels whose windowed point count is strictly below the threshold.
 
     Truncated edge windows scale the threshold proportionally to the
     visible pixel count (ceiling), instead of zero-padding which would
     fabricate water along the border.
     """
-    if window < 3 or window % 2 == 0:
-        raise ParameterError(f"window must be odd and >= 3, got {window}")
     if threshold <= 0:
         return np.zeros(occupancy.shape, dtype=bool)
-    sums, t_eff = window_sums(occupancy, window)
+    sums, t_eff = window_sums(occupancy, wp.window)
     # ceil(threshold * visible / n) in place; a full window keeps threshold
     t_eff *= -threshold
-    t_eff //= window * window
+    t_eff //= wp.window * wp.window
     np.negative(t_eff, out=t_eff)
     return sums < t_eff
 

@@ -20,7 +20,7 @@ from breakline_dtm.interp import interpolate_nonground
 from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
 from breakline_dtm.slope import slope_map
 from breakline_dtm.tiling import compare_tiled
-from breakline_dtm.water import water_mask
+from breakline_dtm.water import WaterParams, water_mask
 from test_ingest import make_las
 
 GRID = GridSpec(0.0, 0.0, 0.5, 600, 600)
@@ -139,7 +139,7 @@ def _case(name, tmp_path):
         return region_stats, Segmentation(GRID, lab, n)
     occupancy = rng.poisson(4.0, GRID.shape).astype(np.int32)
     occupancy[100:200, 300:450] = rng.poisson(0.1, (100, 150))
-    return water_mask, occupancy, 30, 9
+    return water_mask, occupancy, 30, WaterParams(9)
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS_MB))

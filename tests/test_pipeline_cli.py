@@ -251,7 +251,7 @@ def test_pipeline_without_intermediates_gives_the_same_outputs(crop_points, crop
     lean = run_pipeline(
         crop_points, PipelineConfig(filter_params=CROP_FILTER, crop=crop, intermediates=False)
     )
-    assert (lean.dsm, lean.slope, lean.breaks, lean.segmentation) == (None,) * 4
+    assert (lean.sparse, lean.dsm, lean.slope, lean.breaks, lean.segmentation) == (None,) * 5
     for name, attr in RASTER_ARRAYS:
         if name not in ("dtm", "ground", "water"):
             continue
@@ -825,6 +825,37 @@ def test_cli_dtm_crop(tmp_path):
     assert (grid.ncols, grid.nrows) == (120, 120)
 
 
+def test_cli_report_echoes_the_dataclass_defaults_and_every_flag_given(tmp_path, scene_points):
+    path = tmp_path / "pts.xyz"
+    write_points_xyz(scene_points, path)
+    assert run_cli(["dtm", path, "--out-dir", tmp_path / "default"]) == 0
+    report = json.loads((tmp_path / "default" / "report.json").read_text())
+    assert report["parameters"] == PipelineConfig().parameter_echo()
+    flags = {
+        "--cell": ("1.0", "cell_m", 1.0),
+        "--workers": ("2", "workers", 2),
+        "--slope-threshold": ("40", "slope_threshold_deg", 40.0),
+        "--a1": ("30000", "a1_m2", 30_000.0),
+        "--a2": ("90000", "a2_m2", 90_000.0),
+        "--rectangularity": ("0.6", "rectangularity", 0.6),
+        "--window": ("7", "window_px", 7),
+        "--confidence": ("3", "confidence", 3.0),
+        "--percentile": ("0.2", "percentile", 0.2),
+        "--min-segment-px": ("5", "min_segment_px", 5),
+    }
+    argv = ["dtm", path, "--out-dir", tmp_path / "set", "--strict"]
+    argv += ["--crop", "10", "20", "390", "380"]
+    for flag, (value, _, _) in flags.items():
+        argv += [flag, value]
+    assert run_cli(argv) == 0
+    report = json.loads((tmp_path / "set" / "report.json").read_text())
+    assert report["parameters"] == {
+        **{key: echoed for _, key, echoed in flags.values()},
+        "strict_parse": True,
+        "crop": [10.0, 20.0, 390.0, 380.0],
+    }
+
+
 def test_cli_determinism_across_workers(tmp_path):
     scene_file = tmp_path / "scene.txt"
     write_scene_file(scene_file)
@@ -895,14 +926,22 @@ def test_cli_crop_writes_water_segments_inside_window(tmp_path, crop_points):
         ["dtm", "{missing}", "--slope-threshold", "95"],
         ["water", "{missing}", "--window", "4"],
         ["synth", "{scene}", "--cell", "0"],
+        # found only once the data's extent is known, yet before any output is made
+        ["dtm", "{wide}", "--crop", "1000", "1000", "2000", "2000"],
+        *([command, "{wide}", "--cell", "0.01"] for command in ("dtm", "slope", "water")),
     ],
 )
 def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
     pts = tmp_path / "p.xyz"
     pts.write_text("0 0 1\n10 0 1\n0 10 1\n10 10 1\n")
+    wide = tmp_path / "wide.xyz"  # a 500 m square: 2.5e9 cells at 0.01 m
+    wide.write_text("0 0 1\n500 0 1\n0 500 1\n500 500 1\n")
     scene = tmp_path / "scene.txt"
     write_scene_file(scene)
-    argv = [a.format(pts=pts, scene=scene, missing=tmp_path / "missing.xyz") for a in argv]
+    argv = [
+        a.format(pts=pts, wide=wide, scene=scene, missing=tmp_path / "missing.xyz")
+        for a in argv
+    ]
     assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 3
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not (tmp_path / "out").exists()  # nor is any output made

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from breakline_dtm.errors import BadThresholdError, GridTooSmallError
+from breakline_dtm.errors import BadThresholdError, GridTooSmallError, ParameterError
+from breakline_dtm.groundfilter import FilterParams
 from breakline_dtm.raster import Dsm, GridSpec
 from breakline_dtm.slope import _STRIP_ROWS, SlopeMap, break_line_mask, slope_map
 from oracles import direct_sobel_slope, whole_raster_slope
@@ -110,6 +111,17 @@ def test_break_threshold_validation():
     for bad in (0.0, 90.0, -3.0, 120.0):
         with pytest.raises(BadThresholdError):
             break_line_mask(sm, bad)
+
+
+def test_filter_params_and_break_mask_refuse_a_threshold_alike():
+    sm = SlopeMap(GridSpec(0, 0, 1, 6, 6), np.zeros((6, 6)))
+    with pytest.raises(ParameterError) as by_params:
+        FilterParams(tau_deg=95)
+    with pytest.raises(ParameterError) as by_mask:
+        break_line_mask(sm, 95)
+    assert type(by_params.value) is type(by_mask.value) is BadThresholdError
+    assert str(by_params.value) == str(by_mask.value)
+    assert str(by_mask.value) == "slope threshold must be in (0, 90), got 95"
 
 
 @settings(max_examples=30, deadline=None)

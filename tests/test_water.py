@@ -34,7 +34,7 @@ def test_threshold_reproduces_worked_number():
 def test_threshold_zero_density_disables_detection():
     occ = np.zeros((50, 50), dtype=np.int64)
     assert water_threshold(occ, WaterParams()) == 0
-    assert not water_mask(occ, 0, 9).any()
+    assert not water_mask(occ, 0, WaterParams(9)).any()
 
 
 def test_threshold_direct_arithmetic():
@@ -72,19 +72,19 @@ def test_window_sums_and_mask_match_slicing_oracle_on_any_shape(occ, window, thr
     assert np.array_equal(sums, o_sums) and np.array_equal(vis, o_vis)
     n = window * window
     t_eff = np.where(o_vis == n, threshold, -(-threshold * o_vis // n))
-    assert np.array_equal(water_mask(occ, threshold, window), o_sums < t_eff)
+    assert np.array_equal(water_mask(occ, threshold, WaterParams(window)), o_sums < t_eff)
 
 
 def test_water_mask_dense_field_no_water():
     occ = np.ones((30, 30), dtype=np.int64)
-    assert not water_mask(occ, 7, 9).any()
+    assert not water_mask(occ, 7, WaterParams(9)).any()
 
 
 def test_water_mask_hole_interior_detected():
     rng = np.random.default_rng(22)
     occ = rng.poisson(1.0, size=(60, 60)).astype(np.int64)
     occ[10:50, 10:50] = 0  # 40x40 void hole
-    mask = water_mask(occ, 7, 9)
+    mask = water_mask(occ, 7, WaterParams(9))
     interior = np.zeros_like(mask)
     interior[14:46, 14:46] = True  # margin >= 4 px from the dense field
     assert mask[interior].all()
@@ -96,16 +96,16 @@ def test_water_mask_hole_interior_detected():
 def test_water_mask_monotone_in_threshold():
     rng = np.random.default_rng(23)
     occ = rng.poisson(0.3, size=(40, 40)).astype(np.int64)
-    prev = water_mask(occ, 2, 9)
+    prev = water_mask(occ, 2, WaterParams(9))
     for t in (4, 6, 11):
-        cur = water_mask(occ, t, 9)
+        cur = water_mask(occ, t, WaterParams(9))
         assert not (prev & ~cur).any()
         prev = cur
 
 
 def test_water_mask_t_zero_empty():
     occ = np.zeros((20, 20), dtype=np.int64)
-    assert not water_mask(occ, 0, 9).any()
+    assert not water_mask(occ, 0, WaterParams(9)).any()
 
 
 def test_nearest_rank_examples():
