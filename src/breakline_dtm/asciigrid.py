@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import _lf_lines, format_6f_blocks, loadtxt_f64, write_blocks
+from .ingest import _lf_lines, _line_blocks, format_6f_blocks, loadtxt_f64, write_blocks
 from .raster import GridSpec
 
 NODATA = -9999.0
@@ -111,23 +111,6 @@ def _grid_of(path, header: dict[str, float]) -> GridSpec:
         int(header["ncols"]),
         int(header["nrows"]),
     )
-
-
-def _line_blocks(fh, size: int) -> Iterator[bytes]:
-    """The bytes of ``fh`` read ``size`` at a time, cut back to the last LF.
-
-    Every block but the last ends in an LF, so no block splits a line or
-    a CRLF pair; a line longer than ``size`` is read on into one block.
-    """
-    carry = b""
-    while chunk := fh.read(size):
-        chunk = carry + chunk
-        cut = chunk.rfind(b"\n", len(carry)) + 1
-        chunk, carry = chunk[:cut], chunk[cut:]  # only the block is held while it is used
-        if chunk:
-            yield chunk
-    if carry:
-        yield carry
 
 
 def _then(first: bytes, rest: Iterator[bytes]) -> Iterator[bytes]:

@@ -36,13 +36,17 @@ from .tiling import compare_grid_files, write_tile_csv
 from .water import WaterParams, water_mask, water_segments, water_threshold
 
 
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
+def _add_slope_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--slope-threshold",
         type=float,
         default=FilterParams.tau_deg,
         help="break-line slope threshold in degrees",
     )
+
+
+def _add_filter_flags(p: argparse.ArgumentParser) -> None:
+    _add_slope_flag(p)
     p.add_argument("--a1", type=float, default=FilterParams.a1_m2, help="low area limit in m^2")
     p.add_argument("--a2", type=float, default=FilterParams.a2_m2, help="high area limit in m^2")
     p.add_argument(
@@ -114,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_slope = sub.add_parser("slope", parents=[cloud], help="slope map and break-line mask only")
-    p_slope.add_argument("--slope-threshold", type=float, default=FilterParams.tau_deg)
+    _add_slope_flag(p_slope)
 
     p_water = sub.add_parser("water", parents=[cloud], help="water mask and segment table only")
     _add_water_flags(p_water)

@@ -35,6 +35,11 @@ _FORMAT_CHUNK_CELLS = 1 << 16
 # the tokens of False and True, each with its separator
 _BOOL_TOKENS = np.frombuffer(b"0.000000 1.000000 ", np.uint8).reshape(2, 9)
 
+# the suffixes numpy's datasource opens a file through a decompressor by
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# bytes the XYZ file probe reads at a time; it holds about two blocks
+_PROBE_BLOCK_BYTES = 1 << 18
+
 # public header size of each LAS 1.x minor version
 _LAS_HEADER_SIZE = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}
 
@@ -104,6 +109,8 @@ class PointCloud:
 
 
 def _drop_nonfinite(xyz: np.ndarray) -> tuple[np.ndarray, int]:
+    if np.isfinite(xyz).all():
+        return xyz, 0  # the usual case: one pass, and the same array
     finite = np.isfinite(xyz).all(axis=1)
     dropped = int(xyz.shape[0] - finite.sum())
     if dropped:
@@ -123,15 +130,42 @@ def _lf_lines(data: bytes) -> bytes:
     return data
 
 
+def _line_blocks(fh, size: int) -> Iterator[bytes]:
+    """The bytes of ``fh`` read ``size`` at a time, cut back to the last LF.
+
+    Every block but the last ends in an LF, so no block splits a line or
+    a CRLF pair; a line longer than ``size`` is read on into one block.
+    """
+    carry = b""
+    while chunk := fh.read(size):
+        chunk = carry + chunk
+        cut = chunk.rfind(b"\n", len(carry)) + 1
+        chunk, carry = chunk[:cut], chunk[cut:]  # only the block is held while it is used
+        if chunk:
+            yield chunk
+    if carry:
+        yield carry
+
+
 def loadtxt_f64(text, usecols=None) -> np.ndarray:
     """Rows of whitespace-separated numbers as a 2-D float64 array.
 
     ``text`` is a binary stream, read from its position on, whose lines
-    end as ``_lf_lines`` leaves them.
+    end as ``_lf_lines`` leaves them, or the absolute path of a file that
+    ``_is_plain_text_file`` accepts.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # blank input
         return np.loadtxt(text, dtype=np.float64, usecols=usecols, ndmin=2, comments=None)
+
+
+def _plain_text(data: bytes) -> bool:
+    """Whether ``data`` is pure ASCII with no comment or comma.
+
+    Where loadtxt reads such text, with its line breaks made LF by
+    ``_lf_lines``, it reads the points the per-line parser reads.
+    """
+    return data.isascii() and b"#" not in data and b"," not in data
 
 
 def _parse_xyz_bulk(data: bytes) -> np.ndarray | None:
@@ -141,7 +175,7 @@ def _parse_xyz_bulk(data: bytes) -> np.ndarray | None:
     byte, a comment or comma, or a line loadtxt cannot read as at least
     three numbers.  Every line break of the per-line parser ends a line here too.
     """
-    if not data.isascii() or b"#" in data or b"," in data:
+    if not _plain_text(data):
         return None
     try:
         return loadtxt_f64(io.BytesIO(_lf_lines(data)), usecols=(0, 1, 2))
@@ -174,15 +208,39 @@ def _parse_xyz_lines(data: bytes, strict: bool) -> tuple[np.ndarray, int]:
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3), skipped
 
 
-def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
-    xyz = _parse_xyz_bulk(data)
-    skipped = 0
-    if xyz is None:
-        xyz, skipped = _parse_xyz_lines(data, strict)
+def _xyz_cloud(xyz: np.ndarray, skipped: int) -> PointCloud:
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
         raise EmptyInputError("no valid points in text input")
     return PointCloud(xyz, dropped_nonfinite=dropped, skipped_records=skipped)
+
+
+def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
+    xyz = _parse_xyz_bulk(data)
+    if xyz is None:
+        return _xyz_cloud(*_parse_xyz_lines(data, strict))
+    return _xyz_cloud(xyz, 0)
+
+
+def _is_plain_text_file(path) -> bool:
+    """Whether loadtxt may read ``path`` by name and give ``_parse_xyz_bulk``'s points.
+
+    ``path`` must name a regular file (not a pipe such as /dev/stdin,
+    which cannot be read twice) without a suffix that numpy's datasource
+    decompresses by.  The file is then read once, a block of whole lines
+    at a time, and each block must pass ``_plain_text`` and need no
+    ``_lf_lines`` rewrite, so that the universal newlines of a text-mode
+    file, which turn CRLF into LF, read the lines loadtxt reads in bytes.
+    A file that starts as LAS does is not text.
+    """
+    if Path(path).suffix in _COMPRESSED_SUFFIXES or not os.path.isfile(path):
+        return False
+    with open(path, "rb") as fh:
+        if fh.read(len(_LAS_MAGIC)) == _LAS_MAGIC:
+            return False
+        fh.seek(0)
+        blocks = _line_blocks(fh, _PROBE_BLOCK_BYTES)
+        return all(_plain_text(block) and _lf_lines(block) is block for block in blocks)
 
 
 def _read_las(data: bytes, strict: bool) -> PointCloud:
@@ -273,11 +331,21 @@ def read_points(source, strict: bool = False) -> PointCloud:
     Parameters
     ----------
     source : path, bytes or file-like
-        Raw input.  Whole input is held in memory.
+        Raw input.  A path to a regular file of plain XYZ text is parsed
+        from the file, after one pass that checks its bytes; any other
+        input is held in memory whole.
     strict : bool
         When True a malformed record aborts with MalformedRecordError;
         otherwise bad records are skipped and counted.
     """
+    if isinstance(source, (str, Path)) and _is_plain_text_file(source):
+        # by absolute name, a path is never read as a URL, and numpy's
+        # chunked reader parses the file without a copy of its text
+        try:
+            xyz = loadtxt_f64(os.path.abspath(source), usecols=(0, 1, 2))
+        except ValueError:  # a line loadtxt cannot read: only the per-line parser counts it
+            return _xyz_cloud(*_parse_xyz_lines(Path(source).read_bytes(), strict))
+        return _xyz_cloud(xyz, 0)
     data = _to_bytes(source)
     if data[:4] == _LAS_MAGIC:
         return _read_las(data, strict)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientGroundError
-from .groundfilter import _FOUR, GroundMask, label_4connected
+from .groundfilter import GroundMask, label_4connected
 from .raster import Dsm, GridSpec, nearest_donor_indices
 
 SOURCE_MEASURED = 0
@@ -115,13 +115,20 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         rs = slice(max(0, rs.start - 1), min(dsm.grid.nrows, rs.stop + 1))
         cs = slice(max(0, cs.start - 1), min(dsm.grid.ncols, cs.stop + 1))
         hole = holes[rs, cs] == hole_id
-        rim = ndimage.binary_dilation(hole, structure=_FOUR) & is_ground[rs, cs]
+        # the ground pixels 4-adjacent to the hole
+        rim = np.zeros_like(hole)
+        rim[1:] |= hole[:-1]
+        rim[:-1] |= hole[1:]
+        rim[:, 1:] |= hole[:, :-1]
+        rim[:, :-1] |= hole[:, 1:]
+        rim &= is_ground[rs, cs]
 
         hole_rc = np.argwhere(hole)
-        rim_rc = np.argwhere(rim)
-        # lexicographic point order keeps the triangulation deterministic
-        order = np.lexsort((rim_rc[:, 0], rim_rc[:, 1]))
-        rim_rc = rim_rc[order]
+        # column-major point order keeps the triangulation deterministic; the
+        # points are C-ordered, because matmul in _fill_hole_1d rounds
+        # differently on a Fortran-ordered array such as argwhere's
+        cols, rows = np.nonzero(rim.T)
+        rim_rc = np.column_stack((rows, cols))
         donor_xy = rim_rc[:, ::-1] + 0.5  # (x, y) in cell units
         donor_z = dsm.elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
         hole_xy = hole_rc[:, ::-1] + 0.5

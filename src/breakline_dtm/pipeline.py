@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ParameterError, PipelineError
+from .errors import InsufficientGroundError, ParameterError, PipelineError
 from .groundfilter import (
     FilterParams,
     GroundMask,
@@ -167,6 +167,24 @@ def crop_window(grid: GridSpec, crop: BBox) -> tuple[slice, slice, GridSpec]:
     return slice(r0, r1), slice(c0, c1), sub
 
 
+def _ground_rule_text(stats: RegionStats, params: FilterParams) -> str:
+    """Which enclosure rules decided the regions, for a run that found too little ground.
+
+    Only a region over ``a2_m2``, or one in [a1_m2, a2_m2] with
+    rectangularity at most ``r``, is ground; the limits and the regions
+    (and pixels) under each rule say which limit to change.
+    """
+    counts = region_rule_counts(stats, params)
+    rules = ", ".join(
+        f"{name} {c['regions']} ({c['px']} px)" for name, c in counts.items()
+    )
+    return (
+        f"ground regions are those above a2 = {params.a2_m2:g} m^2, or in "
+        f"[a1 = {params.a1_m2:g}, a2] m^2 with rectangularity <= r = {params.r:g} "
+        f"(--a1, --a2, --rectangularity); regions by rule: {rules}"
+    )
+
+
 def _import_scipy() -> None:
     """Load the scipy modules that the stages import on their first call.
 
@@ -221,7 +239,12 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     region_count = seg.region_count
     if not cfg.intermediates:
         slp = breaks = seg = None  # read by no later stage
-    dtm_land = timer.run("interpolate", lambda: interpolate_nonground(dsm, ground))
+    try:
+        dtm_land = timer.run("interpolate", lambda: interpolate_nonground(dsm, ground))
+    except InsufficientGroundError as exc:
+        raise InsufficientGroundError(
+            f"{exc}; {_ground_rule_text(stats, cfg.filter_params)}"
+        ) from None
     if not cfg.intermediates:
         dsm = None
 

@@ -1,11 +1,14 @@
 import io
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breakline_dtm import ingest
 from breakline_dtm.errors import (
     EmptyInputError,
     MalformedRecordError,
@@ -19,6 +22,7 @@ from breakline_dtm.ingest import (
     _parse_xyz_lines,
     _read_xyz_text,
     bounds,
+    loadtxt_f64,
     read_points,
     write_points_xyz,
 )
@@ -335,3 +339,89 @@ def test_xyz_bulk_path_taken_only_on_plain_text():
 @pytest.mark.parametrize("strict", [False, True])
 def test_xyz_fast_path_examples(data, strict):
     assert _outcome(_read_xyz_text, data, strict) == _outcome(_per_line_read, data, strict)
+
+
+def _route_spy(monkeypatch):
+    """The argument types loadtxt_f64 is called with from here on: str for a file by name."""
+    seen = []
+
+    def spy(text, usecols=None):
+        seen.append(type(text))
+        return loadtxt_f64(text, usecols)
+
+    monkeypatch.setattr(ingest, "loadtxt_f64", spy)
+    return seen
+
+
+def _read_path(path):
+    return lambda data, strict: read_points(path, strict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_xyz_text(), st.booleans())
+def test_xyz_file_read_by_path_matches_per_line_parser(tmp_path_factory, data, strict):
+    path = tmp_path_factory.mktemp("xyz") / "points.xyz"
+    path.write_bytes(data)
+    assert _outcome(_read_path(path), data, strict) == _outcome(_per_line_read, data, strict)
+
+
+@pytest.mark.parametrize("data, by_name", [
+    (b"1 2 3\n4 5 6\n", True),
+    (b"1 2 3\r\n4\t5 6 extra\r\n\n", True),
+    (b"1 2 3\n4 5 nan\n-inf 1 2", True),
+    (b"", True),
+    (b" \n\t\n", True),
+    (b"1 2 3\n4 5\n", True),  # loadtxt fails on it: the per-line parser reads it again
+    (b"1_0 2 3\n", True),
+    (b"1 2 3\x00\n", True),
+    (b"1 2 3\r4 5 6\r", False),
+    (b"1 2 3\x0c4 5 6\n", False),
+    (b"# c\n1 2 3\n", False),
+    (b"1,2,3\n", False),
+    (b"1 2 3\xc3\xa9\n", False),
+    (b"LASF 1 2 3\n", False),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_xyz_file_route_and_outcome(tmp_path, monkeypatch, data, by_name, strict):
+    path = tmp_path / "points.xyz"
+    path.write_bytes(data)
+    seen = _route_spy(monkeypatch)
+    assert _outcome(_read_path(path), data, strict) == _outcome(read_points, data, strict)
+    assert (str in seen) == by_name
+
+
+def test_xyz_file_named_as_compressed_is_read_as_text(tmp_path, monkeypatch):
+    path = tmp_path / "points.xyz.gz"  # plain text: numpy's datasource would gunzip it
+    path.write_bytes(b"1 2 3\n4 5 6\n")
+    seen = _route_spy(monkeypatch)
+    assert read_points(path).xyz.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert str not in seen
+
+
+def test_xyz_fifo_is_read_once(tmp_path, monkeypatch):
+    fifo = tmp_path / "points.fifo"
+    os.mkfifo(fifo)
+    seen = _route_spy(monkeypatch)
+    read = []
+    # each open of a pipe waits for the other end, and a second open for
+    # reading would wait for a writer forever
+    reader = threading.Thread(target=lambda: read.append(read_points(str(fifo))), daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"1 2 3\n4 5 6\n",), daemon=True)
+    reader.start()
+    writer.start()
+    for thread in (writer, reader):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert read[0].xyz.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert str not in seen
+
+
+def test_cli_directory_input_exits_2(tmp_path, monkeypatch, capsys):
+    from breakline_dtm.cli import main
+
+    seen = _route_spy(monkeypatch)
+    with pytest.raises(IsADirectoryError):
+        read_points(tmp_path)
+    assert main(["dtm", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "input error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not seen

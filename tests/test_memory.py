@@ -15,7 +15,7 @@ import pytest
 from breakline_dtm import cli
 from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
-from breakline_dtm.ingest import _read_las
+from breakline_dtm.ingest import PointCloud, _read_las, read_points, write_points_xyz
 from breakline_dtm.interp import interpolate_nonground
 from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
 from breakline_dtm.slope import slope_map
@@ -46,13 +46,17 @@ POINTS = 1_440_000  # 4 points per square metre
 # time, and the reader lets go of each block once it is parsed: read_ascii_grid
 # takes 4.0 MB, compare_tiled 0.9 MB and compare 3.5 MB (3.5 MB with the
 # faulty mask row); on 2400x600 grids ("compare_tall") compare took 13.9 MB
-# with a raster-sized difference and takes 3.5 MB
+# with a raster-sized difference and takes 3.5 MB.  read_points on a 43 MB
+# XYZ file of POINTS points took 81.4 MB holding the file's bytes while
+# loadtxt parsed them, and takes 37.1 MB (the 34.6 MB cloud) parsing the
+# file by name
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
     "compare": 5.5,
     "compare_tall": 5.5,
     "read_las": 60.0,
+    "read_xyz": 56.0,
     "bin_min_count": 40.0,
     "fill_voids_nearest": 18.0,
     "interpolate_nonground": 14.0,
@@ -117,6 +121,9 @@ def _case(name, tmp_path):
     if name == "read_las":
         ixyz = rng.integers(0, 300_000, size=(POINTS, 3))
         return _read_las, make_las(ixyz, scale=(0.001,) * 3), False
+    if name == "read_xyz":
+        write_points_xyz(PointCloud(_points(rng)), tmp_path / "points.xyz")
+        return read_points, tmp_path / "points.xyz"
     if name == "bin_min_count":
         return _bin_min_count, _points(rng), GRID
     if name == "fill_voids_nearest":

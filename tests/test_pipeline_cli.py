@@ -32,7 +32,9 @@ from breakline_dtm.pipeline import PipelineConfig, run_pipeline
 from breakline_dtm.raster import GridSpec, fill_voids_nearest
 from breakline_dtm.scene import (
     Building,
+    Hill,
     Plane,
+    Ramp,
     Scene,
     WaterBody,
     sample_points,
@@ -945,3 +947,41 @@ def test_cli_out_of_domain_parameter_exits_3(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 3
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not (tmp_path / "out").exists()  # nor is any output made
+
+
+# open terrain of the benchmark's 300 m tile: a tilted plane, a hill and a
+# hollow, a ramp, a lake and sheds.  At the default area limits its main
+# region lies between a1 and a2 and is nearly square, so no region is ground
+RURAL_SCENE = Scene(
+    extent=BBox(0, 0, 300, 300),
+    density=4.0,
+    seed=21,
+    plane=Plane(200.0, 0.002, -0.003),
+    hills=[Hill(60, 240, 20, 4.0), Hill(240, 60, 18, -3.0)],
+    buildings=[Building(200, 200, 12, 10, 6.0, 30.0), Building(50, 60, 10, 14, 5.0)],
+    ramps=[Ramp(20, 150, 280, 150, 8, 6)],
+    waters=[WaterBody(_rect_polygon(130, 220, 40, 30), level=199.5)],
+)
+
+
+def test_cli_without_ground_regions_names_the_area_rules(tmp_path, capsys):
+    path = tmp_path / "rural.xyz"
+    write_points_xyz(sample_points(RURAL_SCENE), path)
+    out = tmp_path / "out"
+    assert run_cli(["dtm", path, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "input error: [stage interpolate] need at least 3 non-collinear ground pixels"
+    )
+    assert "a2 = 100000 m^2" in err and "[a1 = 40000, a2] m^2" in err and "r = 0.5" in err
+    # every region is under one of the two rules that make no ground
+    assert "area_above_a2 0 (0 px)" in err and "mid_rect_at_most_r 0 (0 px)" in err
+    assert "area_below_a1 " in err and "mid_rect_above_r 1 " in err
+    assert not out.exists()
+
+
+def test_slope_help_describes_the_slope_threshold(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["slope", "--help"])
+    assert exc.value.code == 0
+    assert "break-line slope threshold in degrees" in capsys.readouterr().out
