@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=PipelineConfig.workers,
-        help="threads for rasterization (>= 1)",
+        help="checked (>= 1) and echoed in report.json; changes nothing a run does",
     )
 
     p_dtm = sub.add_parser("dtm", parents=[cloud], help="run the full pipeline")

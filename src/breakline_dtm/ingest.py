@@ -72,10 +72,10 @@ class BBox:
 class PointCloud:
     """A flat (n, 3) float64 array of x/y/z observations in meters.
 
-    The coordinate array is made read-only on construction so clouds can be
-    shared across threads.  ``dropped_nonfinite`` counts records discarded
-    for NaN/Inf coordinates, ``skipped_records`` counts records skipped as
-    unparsable in lenient mode.
+    The coordinate array is made read-only on construction, so no stage
+    can change the cloud another stage reads.  ``dropped_nonfinite``
+    counts records discarded for NaN/Inf coordinates, ``skipped_records``
+    counts records skipped as unparsable in lenient mode.
     """
 
     xyz: np.ndarray
@@ -211,7 +211,10 @@ def _parse_xyz_lines(data: bytes, strict: bool) -> tuple[np.ndarray, int]:
 def _xyz_cloud(xyz: np.ndarray, skipped: int) -> PointCloud:
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
-        raise EmptyInputError("no valid points in text input")
+        raise EmptyInputError(
+            f"no valid points in text input: {skipped} malformed record(s) skipped "
+            f"(--strict names the first), {dropped} with non-finite coordinates dropped"
+        )
     return PointCloud(xyz, dropped_nonfinite=dropped, skipped_records=skipped)
 
 

@@ -8,8 +8,6 @@ southernmost row, so cell (r, c) has its center at
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +110,16 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
     )
 
 
-def _bin_min_count(
-    xyz: np.ndarray, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, int]:
+def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
+    """Bin points into the grid keeping the lowest elevation per cell.
+
+    Every point is binned in one pass on the caller's thread.  ``workers``
+    < 1 is a ParameterError; any other value changes nothing: binning
+    gained nothing from a second thread (README, "How it works").
+    """
+    _check_workers(workers)
     nrows, ncols = grid.shape
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    x, y, z = pc.xyz[:, 0], pc.xyz[:, 1], pc.xyz[:, 2]
     cx = x - grid.origin_x
     cx /= grid.cell
     cy = y - grid.origin_y
@@ -128,7 +131,7 @@ def _bin_min_count(
     for v, c, vmax, n in ((x, cx, grid.max_x, ncols), (y, cy, grid.max_y, nrows)):
         past = np.flatnonzero(~(v <= vmax))
         inside[past] &= c[past] - 1e-9 <= n
-    dropped = int(xyz.shape[0] - np.count_nonzero(inside))
+    dropped = int(pc.count - np.count_nonzero(inside))
     if dropped:
         cx, cy, z = cx[inside], cy[inside], z[inside]
     del inside
@@ -144,39 +147,12 @@ def _bin_min_count(
     del cx
     flat = cy.astype(np.int64)
     del cy
-    elev = np.full(nrows * ncols, np.inf)
-    occ = np.zeros(nrows * ncols, dtype=np.int32)
-    np.minimum.at(elev, flat, z)
+    elev = np.full(grid.shape, np.inf)
+    occ = np.zeros(grid.shape, dtype=np.int32)
+    np.minimum.at(elev.reshape(-1), flat, z)
     # an int32 one: with a Python int, add.at casts and takes its slow loop (20x)
-    np.add.at(occ, flat, np.int32(1))
-    return elev, occ, dropped
-
-
-def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
-    """Bin points into the grid keeping the lowest elevation per cell.
-
-    The points are split into at most threads + 1 chunks, where threads,
-    the pool's size, is ``workers`` - 1, at least 1 and at most
-    ``os.cpu_count()``.  The pool gets every chunk but the first at once;
-    the caller's thread bins the first, then merges the others in order.
-    The min/count merge is exact, so the result is independent of the
-    partitioning and of thread scheduling.  ``workers`` < 1 is a ParameterError.
-    """
-    _check_workers(workers)
-    threads = min(max(1, workers - 1), os.cpu_count() or 1)
-    first, *rest = np.array_split(pc.xyz, min(workers, threads + 1))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_bin_min_count, chunk, grid) for chunk in rest]
-        elev, occ, dropped = _bin_min_count(first, grid)
-        while futures:
-            e, o, d = futures.pop(0).result()
-            np.minimum(elev, e, out=elev)
-            occ += o
-            dropped += d
-            del e, o  # merged: free this partial
-
-    elev = elev.reshape(grid.shape)
-    occ = occ.reshape(grid.shape)
+    np.add.at(occ.reshape(-1), flat, np.int32(1))
+    del flat, z  # point-sized: freed before the void mask is built
     elev[occ == 0] = np.nan
     return SparseDsm(grid, elev, occ, dropped)
 

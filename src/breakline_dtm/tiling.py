@@ -107,10 +107,8 @@ def compare_grid_files(path_a, path_b, mask=None, tile_px: int = 1000) -> TileRe
                 if k == 0:
                     grid = grid_k
                 elif grid_k != grid:
-                    raise GridMismatchError(
-                        f"grids differ: {grid} vs {grid_k}" if k == 1
-                        else "mask grid differs from the compared rasters"
-                    )
+                    what = ("grids differ", "mask grid differs from the compared rasters")[k - 1]
+                    raise GridMismatchError(f"{what}: {path_a} has {grid}, {path} has {grid_k}")
             diff = np.empty((min(grid.nrows, tile_px), grid.ncols))
             exclude = np.empty(diff.shape, dtype=bool)
             fills = [

@@ -42,7 +42,7 @@ class WaterParams:
         if not 0.0 < self.percentile < 1.0:
             raise ParameterError(f"percentile must be in (0, 1), got {self.percentile}")
         if self.min_segment_px < 0:
-            raise ParameterError("min_segment_px must be >= 0")
+            raise ParameterError(f"min_segment_px must be >= 0, got {self.min_segment_px}")
 
 
 @dataclass

@@ -4,7 +4,7 @@ Importing the package loads numpy only; scipy is imported inside the
 functions that call it, so `compare` and `synth` never load it and `dtm`
 loads `scipy.ndimage` and `scipy.spatial` but not `scipy.interpolate`.
 The CLI runs scipy's OpenBLAS on one thread unless the caller chose a
-count.
+count, and neither its import nor `compare` loads `concurrent.futures`.
 """
 
 import json
@@ -30,6 +30,12 @@ import breakline_dtm.cli
 rc = breakline_dtm.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+# the same, printing whether a thread pool's module was loaded
+POOL_PROBE = PROBE.replace(
+    '"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")',
+    '"futures": "concurrent.futures" in sys.modules',
+)
 
 
 # runs argv through the CLI, then prints the exit code and the thread count
@@ -67,7 +73,8 @@ def test_import_cli_loads_no_scipy():
     assert probe() == {"rc": None, "scipy": []}
 
 
-def test_compare_with_mask_loads_no_scipy(tmp_path):
+def _compare_argv(tmp_path) -> tuple:
+    """A masked `compare` of two 6x5 grids in 3 px tiles."""
     grid = GridSpec(0, 0, 1, 6, 5)
     rng = np.random.default_rng(3)
     for name in ("a", "b"):
@@ -75,11 +82,19 @@ def test_compare_with_mask_loads_no_scipy(tmp_path):
     mask = np.zeros(grid.shape)
     mask[1:3, 2:4] = 1
     write_ascii_grid(mask, grid, tmp_path / "mask.asc")
-    res = probe(
+    return (
         "compare", tmp_path / "a.asc", tmp_path / "b.asc",
         "--mask", tmp_path / "mask.asc", "--tile-px", 3, "--out", tmp_path / "tiles.csv",
     )
-    assert res == {"rc": 0, "scipy": []}
+
+
+def test_compare_with_mask_loads_no_scipy(tmp_path):
+    assert probe(*_compare_argv(tmp_path)) == {"rc": 0, "scipy": []}
+
+
+def test_import_cli_and_compare_load_no_thread_pool(tmp_path):
+    assert probe(script=POOL_PROBE) == {"rc": None, "futures": False}
+    assert probe(*_compare_argv(tmp_path), script=POOL_PROBE) == {"rc": 0, "futures": False}
 
 
 def test_synth_loads_no_scipy(tmp_path):

@@ -256,7 +256,10 @@ def _per_line_read(data, strict):
     xyz, skipped = _parse_xyz_lines(data, strict)
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
-        raise EmptyInputError("no valid points in text input")
+        raise EmptyInputError(
+            f"no valid points in text input: {skipped} malformed record(s) skipped "
+            f"(--strict names the first), {dropped} with non-finite coordinates dropped"
+        )
     return PointCloud(xyz, dropped_nonfinite=dropped, skipped_records=skipped)
 
 

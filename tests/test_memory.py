@@ -17,7 +17,7 @@ from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
 from breakline_dtm.ingest import PointCloud, _read_las, read_points, write_points_xyz
 from breakline_dtm.interp import interpolate_nonground
-from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, _bin_min_count, fill_voids_nearest
+from breakline_dtm.raster import Dsm, GridSpec, SparseDsm, fill_voids_nearest, rasterize_min
 from breakline_dtm.slope import slope_map
 from breakline_dtm.tiling import compare_tiled
 from breakline_dtm.water import WaterParams, water_mask
@@ -49,7 +49,8 @@ POINTS = 1_440_000  # 4 points per square metre
 # with a raster-sized difference and takes 3.5 MB.  read_points on a 43 MB
 # XYZ file of POINTS points took 81.4 MB holding the file's bytes while
 # loadtxt parsed them, and takes 37.1 MB (the 34.6 MB cloud) parsing the
-# file by name
+# file by name.  rasterize_min bins all POINTS on the caller's thread and
+# takes 26.1 MB, as the one-chunk path of its thread pool did
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
@@ -57,7 +58,7 @@ BOUNDS_MB = {
     "compare_tall": 5.5,
     "read_las": 60.0,
     "read_xyz": 56.0,
-    "bin_min_count": 40.0,
+    "rasterize_min": 40.0,
     "fill_voids_nearest": 18.0,
     "interpolate_nonground": 14.0,
     "region_stats": 4.0,
@@ -124,8 +125,8 @@ def _case(name, tmp_path):
     if name == "read_xyz":
         write_points_xyz(PointCloud(_points(rng)), tmp_path / "points.xyz")
         return read_points, tmp_path / "points.xyz"
-    if name == "bin_min_count":
-        return _bin_min_count, _points(rng), GRID
+    if name == "rasterize_min":
+        return rasterize_min, PointCloud(_points(rng)), GRID
     if name == "fill_voids_nearest":
         # 1 point per cell leaves 37 % of the cells void; a lake of no
         # returns (radius 40 px) sends its inner voids to the EDT

@@ -554,16 +554,19 @@ def test_cli_compare_other_grid_is_reported_before_its_body(tmp_path, capsys):
     write_ascii_grid(np.zeros((2, 3)), GridSpec(0, 0, 1.0, 3, 2), a)
     other = tmp_path / "other.asc"
     other.write_text(_grid_header(3, 2).replace("xllcorner 0", "xllcorner 5") + "1 2 3\n4 5\n")
+    grids = f"{a} has {GridSpec(0.0, 0.0, 1.0, 3, 2)}, {other} has {GridSpec(5.0, 0.0, 1.0, 3, 2)}"
     assert run_cli(["compare", a, other, "--out", tmp_path / "t.csv"]) == 2
-    assert capsys.readouterr().err.startswith("input error: grids differ: ")
+    assert capsys.readouterr().err == f"input error: grids differ: {grids}\n"
     assert run_cli(["compare", a, a, "--mask", other, "--out", tmp_path / "t.csv"]) == 2
     err = capsys.readouterr().err
-    assert err == "input error: mask grid differs from the compared rasters\n"
+    assert err == f"input error: mask grid differs from the compared rasters: {grids}\n"
     # the fault compare_tiled raises for rasters on different grids
-    with pytest.raises(GridMismatchError, match="^grids differ: "):
+    with pytest.raises(GridMismatchError) as exc:
         compare_grid_files(a, other)
-    with pytest.raises(GridMismatchError, match="^mask grid differs from the compared rasters$"):
+    assert str(exc.value) == f"grids differ: {grids}"
+    with pytest.raises(GridMismatchError) as exc:
         compare_grid_files(a, a, other)
+    assert str(exc.value) == f"mask grid differs from the compared rasters: {grids}"
 
 
 def _read_in_turn(a, b, mask):
@@ -572,9 +575,14 @@ def _read_in_turn(a, b, mask):
         grid = whole_file_ascii_grid(a)[1]
         grid_b = whole_file_ascii_grid(b)[1]
         if grid_b != grid:
-            raise GridMismatchError(f"grids differ: {grid} vs {grid_b}")
-        if mask is not None and whole_file_ascii_grid(mask)[1] != grid:
-            raise GridMismatchError("mask grid differs from the compared rasters")
+            raise GridMismatchError(f"grids differ: {a} has {grid}, {b} has {grid_b}")
+        if mask is not None:
+            grid_m = whole_file_ascii_grid(mask)[1]
+            if grid_m != grid:
+                raise GridMismatchError(
+                    "mask grid differs from the compared rasters: "
+                    f"{a} has {grid}, {mask} has {grid_m}"
+                )
     except (InputDataError, OSError) as exc:
         return 2, f"input error: {exc}\n"
     return 0, ""
@@ -977,6 +985,18 @@ def test_cli_without_ground_regions_names_the_area_rules(tmp_path, capsys):
     # every region is under one of the two rules that make no ground
     assert "area_above_a2 0 (0 px)" in err and "mid_rect_at_most_r 0 (0 px)" in err
     assert "area_below_a1 " in err and "mid_rect_above_r 1 " in err
+    assert not out.exists()
+
+
+def test_cli_text_without_valid_points_names_what_was_skipped_and_dropped(tmp_path, capsys):
+    path = tmp_path / "p.xyz"
+    path.write_text("nan nan nan\n1 2\n")
+    out = tmp_path / "out"
+    assert run_cli(["dtm", path, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        "input error: [stage ingest] no valid points in text input: 1 malformed record(s) "
+        "skipped (--strict names the first), 1 with non-finite coordinates dropped\n"
+    )
     assert not out.exists()
 
 

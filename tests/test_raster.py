@@ -1,6 +1,4 @@
 import threading
-import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -167,72 +165,25 @@ def test_rasterize_workers_below_one_rejected(workers):
         rasterize_min(pc, make_grid_spec(bounds(pc), 0.5), workers)
 
 
-def test_rasterize_pool_capped_at_cpu_count(monkeypatch):
-    # a pool that records its size and runs each task in the caller's
-    # thread, so a large worker count starts no thread
-    import breakline_dtm.raster as raster_mod
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(raster_mod, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(raster_mod.os, "cpu_count", lambda: 3)
-    rng = np.random.default_rng(5)
-    pc = PointCloud(rng.uniform(0, 10, (200, 3)))
+def test_rasterize_any_worker_count_bins_on_the_callers_thread(monkeypatch):
+    # cell (0, 0) gets 0.0 before -0.0 and cell (0, 1) -0.0 before 0.0,
+    # so the sign of each minimum depends on the order min is applied in
+    rng = np.random.default_rng(9)
+    xyz = rng.uniform(0, 10, (500, 3))
+    xyz[[100, 300], :2] = xyz[[200, 400], :2] = [[0.2, 0.2], [0.7, 0.2]]
+    xyz[[100, 200, 300, 400], 2] = [0.0, -0.0, -0.0, 0.0]
+    pc = PointCloud(xyz)
     grid = make_grid_spec(BBox(0, 0, 10, 10), 0.5)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    before = threading.active_count()
     one = rasterize_min(pc, grid, 1)
-    many = rasterize_min(pc, grid, 1000)
-    assert sizes == [1, 3]
-    assert np.array_equal(one.elev, many.elev, equal_nan=True)
-    assert np.array_equal(one.occupancy, many.occupancy)
-
-
-def test_rasterize_holds_at_most_threads_plus_one_partials(monkeypatch):
-    # every grid-sized partial result is counted from its return until it
-    # is freed; 64 chunks on 2 threads may keep the caller's running
-    # result and one partial per thread alive, not all 64
-    import breakline_dtm.raster as raster_mod
-
-    bin_min_count = raster_mod._bin_min_count
-    lock = threading.Lock()
-    live = peak = 0
-
-    def freed():
-        nonlocal live
-        with lock:
-            live -= 1
-
-    def counted(xyz, grid):
-        nonlocal live, peak
-        elev, occ, dropped = bin_min_count(xyz, grid)
-        with lock:
-            live += 1
-            peak = max(peak, live)
-        weakref.finalize(elev, freed)
-        return elev, occ, dropped
-
-    rng = np.random.default_rng(8)
-    pc = PointCloud(rng.uniform(0, 20, (5000, 3)))
-    grid = make_grid_spec(BBox(0, 0, 20, 20), 0.5)
-    one = rasterize_min(pc, grid, 1)
-    monkeypatch.setattr(raster_mod, "_bin_min_count", counted)
-    monkeypatch.setattr(raster_mod.os, "cpu_count", lambda: 2)
     many = rasterize_min(pc, grid, 64)
-    assert 1 < peak <= 3
+    assert started == [] and threading.active_count() == before
+    assert one.elev[0, :2].tolist() == [0.0, 0.0]
+    assert np.signbit(one.elev[0, :2]).any()
+    assert np.array_equal(np.signbit(one.elev), np.signbit(many.elev))
     assert np.array_equal(one.elev, many.elev, equal_nan=True)
     assert np.array_equal(one.occupancy, many.occupancy)
     assert one.oob_dropped == many.oob_dropped

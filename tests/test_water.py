@@ -212,6 +212,11 @@ def test_min_segment_px_filters_speckles():
     assert wm.is_water.sum() == 9
 
 
+def test_negative_min_segment_px_is_named_with_its_value():
+    with pytest.raises(ParameterError, match=r"^min_segment_px must be >= 0, got -1$"):
+        WaterParams(min_segment_px=-1)
+
+
 def test_min_segment_px_can_drop_every_segment():
     occ = np.ones((6, 6), dtype=np.int64)
     elev = np.ones((6, 6))
