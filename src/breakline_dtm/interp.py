@@ -102,12 +102,11 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
             "need at least 3 non-collinear ground pixels to interpolate"
         )
 
+    # the holes are labelled, and their mask freed, before the output
+    # rasters exist, so the labelling's transients never sit on top of them
+    holes, n_holes = label_4connected(~is_ground)
+    source = np.where(is_ground, np.uint8(SOURCE_MEASURED), np.uint8(SOURCE_INTERPOLATED))
     elev = dsm.elev.copy()
-    source = np.full(dsm.grid.shape, SOURCE_MEASURED, dtype=np.uint8)
-    masked = ~is_ground
-    source[masked] = SOURCE_INTERPOLATED
-
-    holes, n_holes = label_4connected(masked)
     slices = ndimage.find_objects(holes)
     for hole_id in range(1, n_holes + 1):
         rs, cs = slices[hole_id - 1]

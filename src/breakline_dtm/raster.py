@@ -110,16 +110,39 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
     )
 
 
+# points binned at once: each block's coordinate and index temporaries
+# are this many points long, not the cloud's length
+_BIN_BLOCK = 2**16
+
+
 def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
     """Bin points into the grid keeping the lowest elevation per cell.
 
-    Every point is binned in one pass on the caller's thread.  ``workers``
-    < 1 is a ParameterError; any other value changes nothing: binning
-    gained nothing from a second thread (README, "How it works").
+    Every point is binned on the caller's thread, in blocks of
+    ``_BIN_BLOCK`` points taken in point order, so each cell takes the
+    minimum of the same values in the same order as in one pass, and the
+    bits, signed zeros included, are the same.  ``workers`` < 1 is a
+    ParameterError; any other value changes nothing: binning gained
+    nothing from a second thread (README, "How it works").
     """
     _check_workers(workers)
+    elev = np.full(grid.shape, np.inf)
+    occ = np.zeros(grid.shape, dtype=np.int32)
+    kept = 0
+    for lo in range(0, pc.count, _BIN_BLOCK):
+        flat, z = _cell_indices(pc.xyz[lo : lo + _BIN_BLOCK], grid)
+        np.minimum.at(elev.reshape(-1), flat, z)
+        # an int32 one: with a Python int, add.at casts and takes its slow loop (20x)
+        np.add.at(occ.reshape(-1), flat, np.int32(1))
+        kept += flat.size
+    elev[occ == 0] = np.nan
+    return SparseDsm(grid, elev, occ, pc.count - kept)
+
+
+def _cell_indices(xyz: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell index and z of each point of ``xyz`` inside ``grid``, in point order."""
     nrows, ncols = grid.shape
-    x, y, z = pc.xyz[:, 0], pc.xyz[:, 1], pc.xyz[:, 2]
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     cx = x - grid.origin_x
     cx /= grid.cell
     cy = y - grid.origin_y
@@ -131,10 +154,8 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     for v, c, vmax, n in ((x, cx, grid.max_x, ncols), (y, cy, grid.max_y, nrows)):
         past = np.flatnonzero(~(v <= vmax))
         inside[past] &= c[past] - 1e-9 <= n
-    dropped = int(pc.count - np.count_nonzero(inside))
-    if dropped:
+    if not inside.all():
         cx, cy, z = cx[inside], cy[inside], z[inside]
-    del inside
 
     # flat = row * ncols + col in float64, exact below 2**53; points on
     # the max edge or in the sliver belong to the last row/column
@@ -144,17 +165,7 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     np.minimum(cy, nrows - 1, out=cy)
     cy *= ncols
     cy += cx
-    del cx
-    flat = cy.astype(np.int64)
-    del cy
-    elev = np.full(grid.shape, np.inf)
-    occ = np.zeros(grid.shape, dtype=np.int32)
-    np.minimum.at(elev.reshape(-1), flat, z)
-    # an int32 one: with a Python int, add.at casts and takes its slow loop (20x)
-    np.add.at(occ.reshape(-1), flat, np.int32(1))
-    del flat, z  # point-sized: freed before the void mask is built
-    elev[occ == 0] = np.nan
-    return SparseDsm(grid, elev, occ, dropped)
+    return cy.astype(np.int64), z
 
 
 # The shell search may spend this many probes (one mask lookup each) per
@@ -173,6 +184,9 @@ _PROBES_PER_CELL = 4
 _SEARCH_RADIUS = 32
 # probes per gather: an index block of 512 KB
 _PROBE_BLOCK = 2**16
+# targets searched at once: each block's position and index temporaries
+# are this many targets long, not the target count
+_TARGET_BLOCK = 2**16
 # the EDT's targets probe the shells of a range of this many squared
 # distances at a time: about pi * 2**13 = 25,736 offsets
 _ANNULUS_D2 = 2**13
@@ -211,15 +225,18 @@ def _annulus(lo2: int, hi2: int, limit: int) -> tuple[np.ndarray, np.ndarray, np
     return dr[order], dc[order], d2[order]
 
 
-def _padded(
-    mask: np.ndarray, pad: int, targets: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """``mask`` in a ``pad``-cell False margin, raveled; its row width; the targets' indices in it."""
+def _padded(mask: np.ndarray, pad: int) -> tuple[np.ndarray, int]:
+    """``mask`` in a ``pad``-cell False margin, raveled, and its row width."""
     nrows, ncols = mask.shape
     width = ncols + 2 * pad
     out = np.zeros((nrows + 2 * pad, width), dtype=bool)
     out[pad : pad + nrows, pad : pad + ncols] = mask
-    return out.ravel(), width, targets + targets // ncols * (2 * pad) + pad * (width + 1)
+    return out.ravel(), width
+
+
+def _padded_index(flat: np.ndarray, ncols: int, pad: int) -> np.ndarray:
+    """Where the cells ``flat`` of a ``ncols``-wide mask lie in ``_padded``'s raveled mask."""
+    return flat + flat // ncols * (2 * pad) + pad * (ncols + 2 * pad + 1)
 
 
 def _first_hits(flat: np.ndarray, pos: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -271,11 +288,12 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
     cells at squared distance 0, 1, 2, 4, 5, ... from it, every shell in
     row-major order, and its first donor is the answer.  Most targets stop
     at distance 1.  The search is bounded (``_PROBES_PER_CELL`` probes per
-    cell of the mask, and a radius of ``_SEARCH_RADIUS`` cells); the
-    targets it leaves go to scipy's exact EDT over the whole mask, which
-    gives their distances, and to one probe of their own shell.  A large
-    void with no donor, such as a lake without returns, is the slow case:
-    it pays for the search and for the EDT.
+    cell of the mask, and a radius of ``_SEARCH_RADIUS`` cells); it runs
+    on ``_TARGET_BLOCK`` targets at a time, all blocks drawing on one
+    budget.  The targets it leaves, of every block, go to one scipy EDT
+    over the whole mask, which gives their distances, and to one probe of
+    their own shell.  A large void with no donor, such as a lake without
+    returns, is the slow case: it pays for the search and for the EDT.
     """
     donor_mask = np.asarray(donor_mask, dtype=bool)
     if not donor_mask.any():
@@ -285,22 +303,32 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
     donor = np.empty(targets.size, dtype=np.int64)
 
     pad = min(_SEARCH_RADIUS, max(nrows, ncols))
-    flat, width, pos = _padded(donor_mask, pad, targets)
+    flat, width = _padded(donor_mask, pad)
     dr, dc, d2 = _annulus(0, pad * pad, pad)
+    deltas, offsets = dr * width + dc, dr * ncols + dc
     starts = np.flatnonzero(np.diff(d2, prepend=-1)).tolist()
-    left = np.arange(targets.size)
+    shells = list(zip(starts, [*starts[1:], d2.size]))
     probes = _PROBES_PER_CELL * donor_mask.size
-    for lo, hi in zip(starts, [*starts[1:], d2.size]):
-        if not left.size:
-            break
-        if d2[lo] > 1:
-            probes -= left.size * (hi - lo)
-            if probes < 0:
+    unresolved = [np.empty(0, dtype=np.int64)]
+    for b0 in range(0, targets.size, _TARGET_BLOCK):
+        block = targets[b0 : b0 + _TARGET_BLOCK]
+        pos = _padded_index(block, ncols, pad)
+        left = np.arange(block.size)
+        for lo, hi in shells:
+            if not left.size:
                 break
-        first = _first_hits(flat, pos[left], dr[lo:hi] * width + dc[lo:hi])
-        hit = first < hi - lo
-        donor[left[hit]] = targets[left[hit]] + (dr[lo:hi] * ncols + dc[lo:hi])[first[hit]]
-        left = left[~hit]
+            if d2[lo] > 1:
+                # one budget for every block: once it is spent, the blocks
+                # after stop at their first shell past distance 1
+                probes -= left.size * (hi - lo)
+                if probes < 0:
+                    break
+            first = _first_hits(flat, pos[left], deltas[lo:hi])
+            hit = first < hi - lo
+            donor[b0 + left[hit]] = block[left[hit]] + offsets[lo:hi][first[hit]]
+            left = left[~hit]
+        unresolved.append(b0 + left)
+    left = np.concatenate(unresolved)
     if left.size:
         _edt_donors(donor_mask, targets, left, donor)
     return donor
@@ -328,7 +356,8 @@ def _edt_donors(
     # an offset past the mask's size misses every target, so the margin
     # need not be wider than that
     pad = min(math.isqrt(int(t_d2[-1])), max(nrows, ncols))
-    flat, width, pos = _padded(donor_mask, pad, targets[left])
+    flat, width = _padded(donor_mask, pad)
+    pos = _padded_index(targets[left], ncols, pad)
     lo = 0
     while lo < left.size:
         # the shells of the nearest distance left and of those up to

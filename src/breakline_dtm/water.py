@@ -77,28 +77,42 @@ def water_threshold(occupancy: np.ndarray, wp: WaterParams) -> int:
     return max(0, math.floor(mean - wp.k * sd))
 
 
-def window_sums(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-truncated centered window sums and visible-pixel counts.
+# rows of the water mask computed at once; each strip's int64 sums and
+# visible counts are this many rows tall, not the raster's height
+_STRIP_ROWS = 64
+
+
+def window_sums(
+    arr: np.ndarray, window: int, r0: int = 0, r1: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-truncated centered window sums and visible-pixel counts of rows ``r0:r1``.
 
     The sums are two zero-padded correlations with a window of ones, one
-    along each axis.  scipy adds in float64, which is exact while every
-    partial sum stays below 2**53; no window sum of an occupancy raster
-    can exceed its point count, far below that bound.
+    along each axis, over the rows ``r0:r1`` and the ``window // 2`` rows
+    on either side that the raster has.  scipy adds in float64, which is
+    exact while every partial sum stays below 2**53; no window sum of an
+    occupancy raster can exceed its point count, far below that bound.
     """
     from scipy import ndimage
 
-    ones = np.ones(window)
-    sums = ndimage.correlate1d(arr, ones, axis=1, output=np.int64, mode="constant")
-    ndimage.correlate1d(sums, ones, axis=0, output=sums, mode="constant")
-    half = window // 2
     nrows, ncols = arr.shape
-    r = np.arange(nrows)
+    r1 = nrows if r1 is None else r1
+    half = window // 2
+    b0 = max(r0 - half, 0)
+    ones = np.ones(window)
+    sums = ndimage.correlate1d(
+        arr[b0 : min(r1 + half, nrows)], ones, axis=1, output=np.int64, mode="constant"
+    )
+    # zero padding is right at the raster's own edges; the rows it gets
+    # wrong at a band edge inside the raster are the halo, cut off here
+    ndimage.correlate1d(sums, ones, axis=0, output=sums, mode="constant")
+    r = np.arange(r0, r1)
     c = np.arange(ncols)
     visible = np.outer(
         np.minimum(r + half + 1, nrows) - np.maximum(r - half, 0),
         np.minimum(c + half + 1, ncols) - np.maximum(c - half, 0),
     )
-    return sums, visible
+    return sums[r0 - b0 : r1 - b0], visible
 
 
 def water_mask(occupancy: np.ndarray, threshold: int, wp: WaterParams) -> np.ndarray:
@@ -106,16 +120,23 @@ def water_mask(occupancy: np.ndarray, threshold: int, wp: WaterParams) -> np.nda
 
     Truncated edge windows scale the threshold proportionally to the
     visible pixel count (ceiling), instead of zero-padding which would
-    fabricate water along the border.
+    fabricate water along the border.  The mask is computed in strips of
+    ``_STRIP_ROWS`` rows; the sums are exact integers, so each pixel gets
+    the value of a whole-raster pass.
     """
+    mask = np.zeros(occupancy.shape, dtype=bool)
     if threshold <= 0:
-        return np.zeros(occupancy.shape, dtype=bool)
-    sums, t_eff = window_sums(occupancy, wp.window)
-    # ceil(threshold * visible / n) in place; a full window keeps threshold
-    t_eff *= -threshold
-    t_eff //= wp.window * wp.window
-    np.negative(t_eff, out=t_eff)
-    return sums < t_eff
+        return mask
+    nrows = occupancy.shape[0]
+    for r0 in range(0, nrows, _STRIP_ROWS):
+        r1 = min(r0 + _STRIP_ROWS, nrows)
+        sums, t_eff = window_sums(occupancy, wp.window, r0, r1)
+        # ceil(threshold * visible / n) in place; a full window keeps threshold
+        t_eff *= -threshold
+        t_eff //= wp.window * wp.window
+        np.negative(t_eff, out=t_eff)
+        np.less(sums, t_eff, out=mask[r0:r1])
+    return mask
 
 
 def nearest_rank(values: np.ndarray, q: float) -> float:

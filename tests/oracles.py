@@ -70,17 +70,26 @@ def brute_nearest_fill(elev, occupied):
 def bucket_min_count(xyz, grid):
     """Per-cell lowest z and point count, one point at a time, keyed by (row, col).
 
-    Points on the grid's max edge go to the last row or column; points
-    outside the grid are skipped.
+    Points on the grid's max edge, or past it by at most 1e-9 cell, go to
+    the last row or column; points outside the grid are skipped.  Of two
+    equal z the later point's is kept, as ``np.minimum(a, b)`` returns
+    ``b`` when ``a == b``: a cell that gets 0.0 and then -0.0 keeps -0.0.
     """
     mins = {}
     counts = {}
     for x, y, z in xyz:
-        if not (grid.origin_x <= x <= grid.max_x and grid.origin_y <= y <= grid.max_y):
+        cx = (x - grid.origin_x) / grid.cell
+        cy = (y - grid.origin_y) / grid.cell
+        if not (x >= grid.origin_x and y >= grid.origin_y):
             continue
-        c = min(int((x - grid.origin_x) / grid.cell), grid.ncols - 1)
-        r = min(int((y - grid.origin_y) / grid.cell), grid.nrows - 1)
-        mins[(r, c)] = min(mins.get((r, c), np.inf), z)
+        if not (x <= grid.max_x or cx - 1e-9 <= grid.ncols):
+            continue
+        if not (y <= grid.max_y or cy - 1e-9 <= grid.nrows):
+            continue
+        c = min(int(cx), grid.ncols - 1)
+        r = min(int(cy), grid.nrows - 1)
+        low = mins.get((r, c), np.inf)
+        mins[(r, c)] = z if z <= low else low
         counts[(r, c)] = counts.get((r, c), 0) + 1
     return mins, counts
 

@@ -50,7 +50,13 @@ POINTS = 1_440_000  # 4 points per square metre
 # XYZ file of POINTS points took 81.4 MB holding the file's bytes while
 # loadtxt parsed them, and takes 37.1 MB (the 34.6 MB cloud) parsing the
 # file by name.  rasterize_min bins all POINTS on the caller's thread and
-# takes 26.1 MB, as the one-chunk path of its thread pool did
+# took 26.1 MB in one pass, as the one-chunk path of its thread pool did;
+# binning 2**16 points at a time it takes 6.2 MB.  Searching donors
+# 2**16 targets at a time, fill_voids_nearest takes 9.3 MB (12.0 MB with
+# every target at once).  water_mask took 5.8 MB with raster-sized int64
+# sums and visible counts and takes 1.7 MB in strips of 64 rows; labelling
+# the holes before the output rasters exist, interpolate_nonground takes
+# 6.3 MB (6.6 MB)
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
@@ -58,12 +64,12 @@ BOUNDS_MB = {
     "compare_tall": 5.5,
     "read_las": 60.0,
     "read_xyz": 56.0,
-    "rasterize_min": 40.0,
-    "fill_voids_nearest": 18.0,
-    "interpolate_nonground": 14.0,
+    "rasterize_min": 9.5,
+    "fill_voids_nearest": 14.0,
+    "interpolate_nonground": 9.5,
     "region_stats": 4.0,
     "slope_map": 6.5,
-    "water_mask": 9.0,
+    "water_mask": 2.6,
 }
 
 

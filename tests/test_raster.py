@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from breakline_dtm import raster
 from breakline_dtm.errors import AllVoidError, NonPositiveCellError, ParameterError
 from breakline_dtm.ingest import BBox, PointCloud, bounds
 from breakline_dtm.raster import (
@@ -189,6 +190,77 @@ def test_rasterize_any_worker_count_bins_on_the_callers_thread(monkeypatch):
     assert one.oob_dropped == many.oob_dropped
 
 
+# its grid ends 1e-9 cell short of it, so points on the bbox's max edges
+# lie in the sliver past the grid's
+SLIVER_BBOX = BBox(0, 0, 10.0000000001, 6.0000000001)
+# points outside the grid: past each edge, and past the max edges by more than the sliver
+OUTSIDE_XY = np.array([[-0.1, 3.0], [10.001, 3.0], [5.0, 6.001], [5.0, -1e-12], [12.0, 7.0]])
+
+
+def _cloud_across_blocks(rng, n, block, zero_first):
+    """``n`` points of SLIVER_BBOX, binned ``block`` at a time (n > 2 * block).
+
+    A 0.0 and a -0.0 share a cell on either side of a block boundary,
+    0.0 first if ``zero_first``; two points lie on the grid's max edges
+    and two in the sliver past them; the first points of the last block
+    lie outside the grid.  Returns the cloud, the cell of the zeros and
+    the number of points outside.
+    """
+    last = (n - 1) // block * block  # the last block's first point
+    boundary = block * int(rng.integers(1, last // block))
+    i, j = int(rng.integers(0, boundary)), int(rng.integers(boundary, last))
+    xyz = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 6, n), rng.uniform(0.5, 9, n)])
+    xyz[j, :2] = xyz[i, :2]
+    xyz[[i, j], 2] = [0.0, -0.0] if zero_first else [-0.0, 0.0]
+    edge = rng.choice(np.setdiff1d(np.arange(last), [i, j]), 4, replace=False)
+    xyz[edge[:2], [0, 1]] = [10.0, 6.0]
+    xyz[edge[2:], [0, 1]] = [10.0000000001, 6.0000000001]
+    n_out = int(rng.integers(1, n - last + 1))
+    xyz[last : last + n_out, :2] = OUTSIDE_XY[rng.integers(0, len(OUTSIDE_XY), n_out)]
+    return xyz, (int(xyz[i, 1] / 0.5), int(xyz[i, 0] / 0.5)), n_out
+
+
+def _assert_rasterize_equals_oracle(cloud, zero_first):
+    xyz, zero_cell, n_out = cloud
+    grid = make_grid_spec(SLIVER_BBOX, 0.5)
+    assert (grid.max_x, grid.max_y) == (10.0, 6.0)
+    sp = rasterize_min(PointCloud(xyz), grid)
+    mins, counts = bucket_min_count(xyz, grid)
+    elev = np.full(grid.shape, np.nan)
+    occupancy = np.zeros(grid.shape, dtype=np.int32)
+    for rc, v in mins.items():
+        elev[rc] = v
+        occupancy[rc] = counts[rc]
+    assert np.array_equal(sp.elev, elev, equal_nan=True)
+    assert np.array_equal(np.signbit(sp.elev), np.signbit(elev))
+    assert np.array_equal(sp.occupancy, occupancy)
+    assert sp.oob_dropped == len(xyz) - occupancy.sum() == n_out
+    # the later zero's sign stays
+    assert sp.elev[zero_cell] == 0.0 and np.signbit(sp.elev[zero_cell]) == zero_first
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(12, 300),
+    seed=st.integers(0, 2**32 - 1),
+    zero_first=st.booleans(),
+    data=st.data(),
+)
+def test_rasterize_min_in_point_blocks_equals_bucketing_oracle(n, seed, zero_first, data):
+    block = data.draw(st.integers(1, (n - 1) // 2), label="block")
+    cloud = _cloud_across_blocks(np.random.default_rng(seed), n, block, zero_first)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster, "_BIN_BLOCK", block)
+        _assert_rasterize_equals_oracle(cloud, zero_first)
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_rasterize_min_equals_bucketing_oracle_over_two_full_blocks(zero_first):
+    n = 2 * raster._BIN_BLOCK + 500
+    cloud = _cloud_across_blocks(np.random.default_rng(11), n, raster._BIN_BLOCK, zero_first)
+    _assert_rasterize_equals_oracle(cloud, zero_first)
+
+
 def test_fill_single_occupied_cell_floods_grid():
     elev = np.full((5, 5), np.nan)
     occ = np.zeros((5, 5), dtype=np.int64)
@@ -358,6 +430,28 @@ def test_edt_donors_match_brute_force_in_any_grouping(monkeypatch, annulus_d2, p
     targets = np.flatnonzero(~donors)
     got = nearest_donor_indices(donors, targets)
     assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+
+
+@pytest.mark.parametrize("target_block", [1, 97, 1000])
+def test_blocked_targets_share_one_edt_call(monkeypatch, target_block):
+    # a lake of no returns spreads its inner voids over many target
+    # blocks; every block's leftovers go to a single whole-mask EDT
+    from scipy import ndimage
+
+    real_edt, real_donors = ndimage.distance_transform_edt, raster._edt_donors
+    edt_calls, handed = [], []
+    monkeypatch.setattr(
+        ndimage, "distance_transform_edt", lambda *a, **k: edt_calls.append(1) or real_edt(*a, **k)
+    )
+    monkeypatch.setattr(raster, "_edt_donors", lambda *a: handed.append(a[2]) or real_donors(*a))
+    monkeypatch.setattr(raster, "_TARGET_BLOCK", target_block)
+    donors = ~_disk(80, 80, 40, 35, 30)  # 2,821 voids in 6,400 cells
+    targets = np.concatenate([np.flatnonzero(~donors), np.arange(0, donors.size, 7)])
+    assert targets.size > target_block
+    got = nearest_donor_indices(donors, targets)
+    assert got.tolist() == brute_nearest_donor(donors, targets).tolist()
+    assert len(edt_calls) == 1 and len(handed) == 1
+    assert np.unique(handed[0] // target_block).size > 1  # leftovers of several blocks
 
 
 def test_nearest_donor_indices_no_donor_raises():

@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from breakline_dtm import water
 from breakline_dtm.errors import ParameterError
 from breakline_dtm.interp import SOURCE_INTERPOLATED, SOURCE_WATER, DtmRaster
 from breakline_dtm.raster import GridSpec, SparseDsm
 from breakline_dtm.water import (
+    _STRIP_ROWS,
     WaterParams,
     apply_water,
     nearest_rank,
@@ -54,6 +56,13 @@ def test_window_sums_match_slicing_oracle():
         assert np.array_equal(vis, o_vis)
 
 
+def _whole_raster_mask(occ, threshold, window):
+    """The water-mask rule on the brute-force window sums of the whole raster."""
+    o_sums, o_vis = brute_window_sums(occ, window)
+    n = window * window
+    return o_sums < np.where(o_vis == n, threshold, -(-threshold * o_vis // n))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     hnp.arrays(
@@ -61,18 +70,35 @@ def test_window_sums_match_slicing_oracle():
     ),
     st.sampled_from([3, 5, 9, 15]),
     st.integers(0, 90),
+    st.integers(1, 6),
 )
 # counts at the int32 maximum: every sum is exact, and none wraps
-@example(np.full((14, 14), np.iinfo(np.int32).max, np.int32), 15, 90)
-def test_window_sums_and_mask_match_slicing_oracle_on_any_shape(occ, window, threshold):
-    # windows wider than the raster, single rows and columns, int32 counts
+@example(np.full((14, 14), np.iinfo(np.int32).max, np.int32), 15, 90, _STRIP_ROWS)
+def test_window_sums_and_mask_match_slicing_oracle_on_any_shape(occ, window, threshold, strip):
+    # windows wider than the raster, single rows and columns, int32 counts;
+    # the mask in strips of a few rows: many strips, windows wider than one
     sums, vis = window_sums(occ, window)
     o_sums, o_vis = brute_window_sums(occ, window)
     assert sums.dtype == np.int64
     assert np.array_equal(sums, o_sums) and np.array_equal(vis, o_vis)
-    n = window * window
-    t_eff = np.where(o_vis == n, threshold, -(-threshold * o_vis // n))
-    assert np.array_equal(water_mask(occ, threshold, WaterParams(window)), o_sums < t_eff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(water, "_STRIP_ROWS", strip)
+        got = water_mask(occ, threshold, WaterParams(window))
+    assert np.array_equal(got, _whole_raster_mask(occ, threshold, window))
+
+
+@pytest.mark.parametrize(
+    "nrows", [3, _STRIP_ROWS - 1, _STRIP_ROWS + 1, 2 * _STRIP_ROWS, 2 * _STRIP_ROWS + 5]
+)
+@pytest.mark.parametrize("window", [9, 2 * _STRIP_ROWS + 1])
+def test_water_mask_strips_of_full_height_equal_whole_raster_rule(nrows, window):
+    rng = np.random.default_rng(nrows * window)
+    occ = rng.poisson(1.0, (nrows, 5)).astype(np.int32)
+    occ[nrows // 3 : nrows // 2 + 1] = 0  # a band without returns
+    threshold = window * window  # water where a window averages below one return a pixel
+    got = water_mask(occ, threshold, WaterParams(window))
+    want = _whole_raster_mask(occ, threshold, window)
+    assert np.array_equal(got, want) and want.any()
 
 
 def test_water_mask_dense_field_no_water():
@@ -88,9 +114,7 @@ def test_water_mask_hole_interior_detected():
     interior = np.zeros_like(mask)
     interior[14:46, 14:46] = True  # margin >= 4 px from the dense field
     assert mask[interior].all()
-    o_sums, o_vis = brute_window_sums(occ, 9)
-    t_eff = np.where(o_vis == 81, 7, -(-7 * o_vis // 81))
-    assert np.array_equal(mask, o_sums < t_eff)
+    assert np.array_equal(mask, _whole_raster_mask(occ, 7, 9))
 
 
 def test_water_mask_monotone_in_threshold():
