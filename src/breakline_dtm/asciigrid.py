@@ -19,17 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HeaderMismatchError
-from .ingest import _lf_lines, _line_blocks, format_6f_blocks, loadtxt_f64, write_blocks
+from .ingest import (
+    _BLOCK_BYTES, _lf_lines, _line_blocks, format_6f_blocks, loadtxt_f64, write_blocks
+)
 from .raster import GridSpec
 
 NODATA = -9999.0
 # the header's NODATA_value and the token of every non-finite cell
 _NODATA_TOKEN = f"{NODATA:.0f}"
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-# bytes read at a time; each block is cut back to its last LF.  A block
-# holds about 5.5 times its size while it is parsed (its copies, loadtxt's
-# buffers and result), so 1 MiB blocks would hold 5.8 MB for no gain in time
-_READ_BLOCK_BYTES = 1 << 18
 
 
 def _grid_chunks(values: np.ndarray, grid: GridSpec) -> Iterator[bytes]:
@@ -126,7 +124,7 @@ def _ascii_blocks(path, fh) -> Iterator[bytes]:
     A non-ASCII byte raises HeaderMismatchError with its offset in the file.
     """
     offset = 0
-    for block in _line_blocks(fh, _READ_BLOCK_BYTES):
+    for block in _line_blocks(fh, _BLOCK_BYTES):
         try:
             if not block.isascii():
                 block.decode("ascii")
@@ -242,7 +240,7 @@ def _row_bands(blocks, bands: list[slice], fill) -> Iterator[slice]:
 def read_ascii_grid(path) -> tuple[np.ndarray, GridSpec]:
     """Read a raster back; NODATA cells come back as NaN.
 
-    The file is read once, in blocks of about ``_READ_BLOCK_BYTES``, into
+    The file is read once, in blocks of about ``_BLOCK_BYTES``, into
     one C-contiguous array, row 0 south.  A malformed file (a non-ASCII
     byte, a missing, non-numeric or non-finite header value, a non-integer or
     non-positive ncols/nrows, a non-positive cellsize, wrong row or

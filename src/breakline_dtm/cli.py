@@ -33,7 +33,7 @@ from .raster import fill_voids_nearest, make_grid_spec, rasterize_min
 from .scene import load_scene, sample_points, truth_rasters
 from .slope import break_line_mask, slope_map
 from .tiling import compare_grid_files, write_tile_csv
-from .water import WaterParams, water_mask, water_segments, water_threshold
+from .water import WaterParams, nonvoid_fraction, water_mask, water_segments, water_threshold
 
 
 def _add_slope_flag(p: argparse.ArgumentParser) -> None:
@@ -244,9 +244,8 @@ def _cmd_water(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(wmap.is_water, wmap.grid, out / "water_mask.asc")
     _write_water_csv(out / "water_segments.csv", wmap)
-    nonvoid = int((sparse.occupancy > 0).sum())
     print(
-        f"P {nonvoid / sparse.occupancy.size:.4f} | threshold {threshold} | "
+        f"P {nonvoid_fraction(sparse.occupancy)[1]:.4f} | threshold {threshold} | "
         f"segments {len(wmap.segments)}"
     )
     return 0

@@ -30,15 +30,21 @@ CONTROL_LINE_ENDS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # the ASCII line boundaries of str.splitlines(); np.loadtxt reads only
 # LF and CRLF as line ends, and the controls among them as whitespace
 _LINE_END = re.compile(rb"\r\n|[\n\r" + b"".join(CONTROL_LINE_ENDS) + rb"]")
-# cells per block that format_6f_blocks turns into text at once
-_FORMAT_CHUNK_CELLS = 1 << 16
 # the tokens of False and True, each with its separator
 _BOOL_TOKENS = np.frombuffer(b"0.000000 1.000000 ", np.uint8).reshape(2, 9)
 
 # the suffixes numpy's datasource opens a file through a decompressor by
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# bytes the XYZ file probe reads at a time; it holds about two blocks
-_PROBE_BLOCK_BYTES = 1 << 18
+# Elements a stage works on at once: points binned, cells formatted,
+# donor probes gathered and targets searched.  A block's int64 or float64
+# temporaries are 512 KB, a sixth of one 600x600 raster, not cloud-sized:
+# binning 1.44 M points traced 6.2 MB in blocks, 26.1 MB in one pass.
+_BLOCK_ELEMENTS = 1 << 16
+# Bytes of text read at a time, each block cut back to its last LF, by
+# the XYZ file probe and the grid reader.  The grid reader holds about
+# 5.5 times a block while it parses it (its copies, loadtxt's buffers and
+# result), so 1 MiB blocks would hold 5.8 MB for no gain in time.
+_BLOCK_BYTES = 1 << 18
 
 # public header size of each LAS 1.x minor version
 _LAS_HEADER_SIZE = {0: 227, 1: 227, 2: 227, 3: 235, 4: 375}
@@ -168,21 +174,6 @@ def _plain_text(data: bytes) -> bool:
     return data.isascii() and b"#" not in data and b"," not in data
 
 
-def _parse_xyz_bulk(data: bytes) -> np.ndarray | None:
-    """All points of plain whitespace-separated text, or None.
-
-    None means the input needs the per-line parser: it has a non-ASCII
-    byte, a comment or comma, or a line loadtxt cannot read as at least
-    three numbers.  Every line break of the per-line parser ends a line here too.
-    """
-    if not _plain_text(data):
-        return None
-    try:
-        return loadtxt_f64(io.BytesIO(_lf_lines(data)), usecols=(0, 1, 2))
-    except ValueError:
-        return None
-
-
 def _parse_xyz_lines(data: bytes, strict: bool) -> tuple[np.ndarray, int]:
     """Points and skipped-record count, one line at a time."""
     try:
@@ -218,15 +209,8 @@ def _xyz_cloud(xyz: np.ndarray, skipped: int) -> PointCloud:
     return PointCloud(xyz, dropped_nonfinite=dropped, skipped_records=skipped)
 
 
-def _read_xyz_text(data: bytes, strict: bool) -> PointCloud:
-    xyz = _parse_xyz_bulk(data)
-    if xyz is None:
-        return _xyz_cloud(*_parse_xyz_lines(data, strict))
-    return _xyz_cloud(xyz, 0)
-
-
 def _is_plain_text_file(path) -> bool:
-    """Whether loadtxt may read ``path`` by name and give ``_parse_xyz_bulk``'s points.
+    """Whether loadtxt may read ``path`` by name and give the points of its bytes.
 
     ``path`` must name a regular file (not a pipe such as /dev/stdin,
     which cannot be read twice) without a suffix that numpy's datasource
@@ -242,7 +226,7 @@ def _is_plain_text_file(path) -> bool:
         if fh.read(len(_LAS_MAGIC)) == _LAS_MAGIC:
             return False
         fh.seek(0)
-        blocks = _line_blocks(fh, _PROBE_BLOCK_BYTES)
+        blocks = _line_blocks(fh, _BLOCK_BYTES)
         return all(_plain_text(block) and _lf_lines(block) is block for block in blocks)
 
 
@@ -329,7 +313,8 @@ def read_points(source, strict: bool = False) -> PointCloud:
     """Read a point cloud from a path, byte string or binary stream.
 
     Input that starts with the LASF magic is read as LAS, anything else
-    as XYZ text.
+    as XYZ text: by one ``loadtxt`` call where that reads the points the
+    per-line parser reads, else by that parser, which alone counts skips.
 
     Parameters
     ----------
@@ -341,18 +326,26 @@ def read_points(source, strict: bool = False) -> PointCloud:
         When True a malformed record aborts with MalformedRecordError;
         otherwise bad records are skipped and counted.
     """
+    data = None
     if isinstance(source, (str, Path)) and _is_plain_text_file(source):
         # by absolute name, a path is never read as a URL, and numpy's
         # chunked reader parses the file without a copy of its text
+        text = os.path.abspath(source)
+    else:
+        data = _to_bytes(source)
+        if data[:4] == _LAS_MAGIC:
+            return _read_las(data, strict)
+        text = io.BytesIO(_lf_lines(data)) if _plain_text(data) else None
+    if text is not None:
         try:
-            xyz = loadtxt_f64(os.path.abspath(source), usecols=(0, 1, 2))
+            xyz = loadtxt_f64(text, usecols=(0, 1, 2))
         except ValueError:  # a line loadtxt cannot read: only the per-line parser counts it
-            return _xyz_cloud(*_parse_xyz_lines(Path(source).read_bytes(), strict))
-        return _xyz_cloud(xyz, 0)
-    data = _to_bytes(source)
-    if data[:4] == _LAS_MAGIC:
-        return _read_las(data, strict)
-    return _read_xyz_text(data, strict)
+            text = None  # frees the LF copy of the bytes before they are parsed again
+        else:
+            return _xyz_cloud(xyz, 0)
+    if data is None:
+        data = Path(source).read_bytes()
+    return _xyz_cloud(*_parse_xyz_lines(data, strict))
 
 
 def bounds(pc: PointCloud) -> BBox:
@@ -494,21 +487,19 @@ def format_6f_blocks(values: np.ndarray, nonfinite: bytes | None = None) -> Iter
     and every row ends in a newline.  A non-finite cell prints as ``nan``,
     ``inf`` or ``-inf``, or as ``nonfinite`` where that is given.  A bool
     array takes each cell's token and separator from ``_BOOL_TOKENS``.
-    Blocks hold about ``_FORMAT_CHUNK_CELLS`` cells, to bound memory.
+    Blocks hold about ``_BLOCK_ELEMENTS`` cells, and an integer array is
+    cast to float64 a block at a time, to bound memory.
     """
     nrows, ncols = values.shape
-    step = max(1, _FORMAT_CHUNK_CELLS // ncols)
-    is_bool = values.dtype.kind == "b"
-    if not is_bool:
-        values = values.astype(np.float64, copy=False)
+    step = max(1, _BLOCK_ELEMENTS // ncols)
     for first in range(0, nrows, step):
         block = values[first : first + step].ravel()
-        if is_bool:
+        if values.dtype.kind == "b":
             m = np.take(_BOOL_TOKENS, block.view(np.uint8), axis=0, mode="clip")
             m[ncols - 1 :: ncols, -1] = ord("\n")
             yield m.tobytes()
         else:
-            m, wide = _token_matrix(block, nonfinite)
+            m, wide = _token_matrix(block.astype(np.float64, copy=False), nonfinite)
             yield _joined(m, ncols, wide)
 
 

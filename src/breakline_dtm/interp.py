@@ -50,6 +50,7 @@ def _fill_hole_1d(
     donor_xy: np.ndarray, donor_z: np.ndarray, hole_xy: np.ndarray
 ) -> np.ndarray:
     """Degenerate (collinear) boundary: linear interpolation along the principal axis."""
+    donor_xy = np.ascontiguousarray(donor_xy)  # matmul rounds by memory order
     centered = donor_xy - donor_xy.mean(axis=0)
     # principal direction of the boundary points; SVD is deterministic here
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -123,9 +124,7 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         rim &= is_ground[rs, cs]
 
         hole_rc = np.argwhere(hole)
-        # column-major point order keeps the triangulation deterministic; the
-        # points are C-ordered, because matmul in _fill_hole_1d rounds
-        # differently on a Fortran-ordered array such as argwhere's
+        # column-major point order keeps the triangulation deterministic
         cols, rows = np.nonzero(rim.T)
         rim_rc = np.column_stack((rows, cols))
         donor_xy = rim_rc[:, ::-1] + 0.5  # (x, y) in cell units

@@ -52,6 +52,7 @@ from .water import (
     WaterParams,
     apply_water,
     label_pixels,
+    nonvoid_fraction,
     water_mask,
     water_segments,
     water_threshold,
@@ -257,7 +258,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     wmap = timer.run(
         "water_segments", lambda: water_segments(wmask, sparse, cfg.water_params)
     )
-    nonvoid = int((sparse.occupancy > 0).sum())
+    nonvoid, fraction = nonvoid_fraction(sparse.occupancy)
     if not cfg.intermediates:
         sparse = None
     dtm = timer.run("apply_water", lambda: apply_water(dtm_land, wmap))
@@ -278,7 +279,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
         "density": {
             "nonvoid_cells": nonvoid,
             "total_cells": grid.nrows * grid.ncols,
-            "P": nonvoid / (grid.nrows * grid.ncols),
+            "P": fraction,
             "water_threshold": int(threshold),
         },
         "regions": {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllVoidError, NonPositiveCellError, ParameterError
-from .ingest import BBox, PointCloud
+from .ingest import _BLOCK_ELEMENTS, BBox, PointCloud
 
 # Region and hole labels are int32 (label_4connected), which bounds the cell count.
 MAX_GRID_CELLS = 2**31 - 1
@@ -110,16 +110,11 @@ def make_grid_spec(bbox: BBox, cell: float) -> GridSpec:
     )
 
 
-# points binned at once: each block's coordinate and index temporaries
-# are this many points long, not the cloud's length
-_BIN_BLOCK = 2**16
-
-
 def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm:
     """Bin points into the grid keeping the lowest elevation per cell.
 
     Every point is binned on the caller's thread, in blocks of
-    ``_BIN_BLOCK`` points taken in point order, so each cell takes the
+    ``_BLOCK_ELEMENTS`` points taken in point order, so each cell takes the
     minimum of the same values in the same order as in one pass, and the
     bits, signed zeros included, are the same.  ``workers`` < 1 is a
     ParameterError; any other value changes nothing: binning gained
@@ -129,8 +124,8 @@ def rasterize_min(pc: PointCloud, grid: GridSpec, workers: int = 1) -> SparseDsm
     elev = np.full(grid.shape, np.inf)
     occ = np.zeros(grid.shape, dtype=np.int32)
     kept = 0
-    for lo in range(0, pc.count, _BIN_BLOCK):
-        flat, z = _cell_indices(pc.xyz[lo : lo + _BIN_BLOCK], grid)
+    for lo in range(0, pc.count, _BLOCK_ELEMENTS):
+        flat, z = _cell_indices(pc.xyz[lo : lo + _BLOCK_ELEMENTS], grid)
         np.minimum.at(elev.reshape(-1), flat, z)
         # an int32 one: with a Python int, add.at casts and takes its slow loop (20x)
         np.add.at(occ.reshape(-1), flat, np.int32(1))
@@ -182,11 +177,6 @@ _PROBES_PER_CELL = 4
 # the search pads the mask by this many cells and covers d2 <= 32**2;
 # the seed-0 rural scene at 1800x1800 cells needs d2 <= 212
 _SEARCH_RADIUS = 32
-# probes per gather: an index block of 512 KB
-_PROBE_BLOCK = 2**16
-# targets searched at once: each block's position and index temporaries
-# are this many targets long, not the target count
-_TARGET_BLOCK = 2**16
 # the EDT's targets probe the shells of a range of this many squared
 # distances at a time: about pi * 2**13 = 25,736 offsets
 _ANNULUS_D2 = 2**13
@@ -249,7 +239,7 @@ def _first_hits(flat: np.ndarray, pos: np.ndarray, deltas: np.ndarray) -> np.nda
     n = deltas.size
     rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
     first = np.empty(pos.size, dtype=np.int64)
-    step = max(1, _PROBE_BLOCK // n)
+    step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, pos.size, step):
         hits = flat[deltas[:, None] + pos[lo : lo + step]]
         first[lo : lo + step] = (hits * rank).max(axis=0)
@@ -263,11 +253,11 @@ def _first_run_hits(
 
     Position i probes ``deltas[start[i] : start[i] + counts[i]]``, and
     one of them must hit.  One ragged gather per group of positions with
-    about ``_PROBE_BLOCK`` probes.
+    about ``_BLOCK_ELEMENTS`` probes.
     """
     first = np.empty(pos.size, dtype=np.int64)
     begins = np.cumsum(counts) - counts
-    cuts = [0, *(np.flatnonzero(np.diff(begins // _PROBE_BLOCK)) + 1).tolist(), pos.size]
+    cuts = [0, *(np.flatnonzero(np.diff(begins // _BLOCK_ELEMENTS)) + 1).tolist(), pos.size]
     for a, b in zip(cuts, cuts[1:]):
         probes = _ragged(start[a:b], counts[a:b])
         hits = np.flatnonzero(flat[np.repeat(pos[a:b], counts[a:b]) + deltas[probes]])
@@ -289,7 +279,7 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
     row-major order, and its first donor is the answer.  Most targets stop
     at distance 1.  The search is bounded (``_PROBES_PER_CELL`` probes per
     cell of the mask, and a radius of ``_SEARCH_RADIUS`` cells); it runs
-    on ``_TARGET_BLOCK`` targets at a time, all blocks drawing on one
+    on ``_BLOCK_ELEMENTS`` targets at a time, all blocks drawing on one
     budget.  The targets it leaves, of every block, go to one scipy EDT
     over the whole mask, which gives their distances, and to one probe of
     their own shell.  A large void with no donor, such as a lake without
@@ -310,8 +300,8 @@ def nearest_donor_indices(donor_mask: np.ndarray, targets: np.ndarray) -> np.nda
     shells = list(zip(starts, [*starts[1:], d2.size]))
     probes = _PROBES_PER_CELL * donor_mask.size
     unresolved = [np.empty(0, dtype=np.int64)]
-    for b0 in range(0, targets.size, _TARGET_BLOCK):
-        block = targets[b0 : b0 + _TARGET_BLOCK]
+    for b0 in range(0, targets.size, _BLOCK_ELEMENTS):
+        block = targets[b0 : b0 + _BLOCK_ELEMENTS]
         pos = _padded_index(block, ncols, pad)
         left = np.arange(block.size)
         for lo, hi in shells:

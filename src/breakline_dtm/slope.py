@@ -33,8 +33,10 @@ class BreakMask:
     is_break: np.ndarray
 
 
-# rows of the output computed at once; each strip's temporaries are this
-# many rows tall, not the raster's height
+# Rows of output slope_map and water_mask compute at once, so temporaries
+# are strip-sized: 300 KB of float64 at 600 columns.  The rows a strip
+# borrows on each side (one for slope_map, window // 2 for water_mask)
+# add 3 % and, at the default 9 px window, 12 % to the rows computed.
 _STRIP_ROWS = 64
 
 
@@ -48,7 +50,10 @@ def slope_map(dsm: Dsm) -> SlopeMap:
     """
     nrows, ncols = dsm.grid.shape
     if nrows < 3 or ncols < 3:
-        raise GridTooSmallError(f"need at least 3x3 cells, got {nrows}x{ncols}")
+        raise GridTooSmallError(
+            f"need at least 3x3 cells, got {nrows}x{ncols} at cell size {dsm.grid.cell} m "
+            "(--cell); a smaller cell size gives more cells"
+        )
 
     elev = dsm.elev
     scale = 8.0 * dsm.grid.cell

@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .groundfilter import label_4connected
 from .interp import SOURCE_WATER, DtmRaster
 from .raster import GridSpec, SparseDsm, nearest_donor_indices
+from .slope import _STRIP_ROWS
 
 
 @dataclass(frozen=True)
@@ -64,22 +65,21 @@ class WaterMap:
     segments: list[WaterSegment] = field(default_factory=list)
 
 
+def nonvoid_fraction(occupancy: np.ndarray) -> tuple[int, float]:
+    """The count of non-void cells and P, their fraction of all cells."""
+    if occupancy.size == 0:
+        raise ParameterError("occupancy raster is empty")
+    nonvoid = int(np.count_nonzero(occupancy > 0))
+    return nonvoid, nonvoid / occupancy.size
+
+
 def water_threshold(occupancy: np.ndarray, wp: WaterParams) -> int:
     """Point-count decision threshold from the windowed density statistics."""
-    total = occupancy.size
-    if total == 0:
-        raise ParameterError("occupancy raster is empty")
-    fraction_nonvoid = float((occupancy > 0).sum()) / total
-    p = fraction_nonvoid / 2.0
+    p = nonvoid_fraction(occupancy)[1] / 2.0
     n = wp.window * wp.window
     mean = n * p
     sd = math.sqrt(n * p * (1.0 - p))
     return max(0, math.floor(mean - wp.k * sd))
-
-
-# rows of the water mask computed at once; each strip's int64 sums and
-# visible counts are this many rows tall, not the raster's height
-_STRIP_ROWS = 64
 
 
 def window_sums(

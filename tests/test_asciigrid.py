@@ -30,7 +30,7 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, -9999.0, 1e15, -1e15, 4.9e-7, -4.
 BIG = 2.0**52 / 1e6
 # reader block sizes: small ones cut inside CRLF pairs, header lines,
 # blank runs and lone CRs, and leave lines longer than a block
-BLOCK_BYTES = [1, 7, 64, asciigrid._READ_BLOCK_BYTES]
+BLOCK_BYTES = [1, 7, 64, asciigrid._BLOCK_BYTES]
 
 
 @st.composite
@@ -153,7 +153,7 @@ def test_failed_write_leaves_earlier_file(tmp_path):
             raise MemoryError
         return token_matrix(x, nonfinite)
 
-    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", 8), \
+    with mock.patch.object(ingest, "_BLOCK_ELEMENTS", 8), \
             mock.patch.object(ingest, "_token_matrix", fails_second):
         with pytest.raises(MemoryError):
             write_ascii_grid(np.ones((6, 4)), grid, path)
@@ -197,7 +197,7 @@ def test_shape_validation():
 def test_writer_bytes_equal_per_cell_oracle(values, x0, y0, cell, chunk_cells):
     # small chunks put tokens of few widths, or a lone slow cell, in a block
     grid = GridSpec(x0, y0, cell, values.shape[1], values.shape[0])
-    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(ingest, "_BLOCK_ELEMENTS", chunk_cells):
         text = format_ascii_grid(values, grid)
     assert text == per_cell_ascii_grid(values, grid)
 
@@ -236,7 +236,7 @@ def test_points_writer_bytes_equal_per_cell_oracle(tmp_path_factory, xyz, chunk_
     pc = PointCloud(xyz)
     stream = io.StringIO()
     path = tmp_path_factory.mktemp("points") / "p.xyz"
-    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(ingest, "_BLOCK_ELEMENTS", chunk_cells):
         write_points_xyz(pc, stream)
         write_points_xyz(pc, path)
     expected = per_cell_xyz_text(xyz)
@@ -268,14 +268,14 @@ def integer_rasters(draw):
 def test_integer_writer_bytes_equal_per_cell_oracle(values, chunk_cells):
     # small chunks split the raster into many blocks
     grid = GridSpec(0.5, -2.0, 0.5, values.shape[1], values.shape[0])
-    with mock.patch.object(ingest, "_FORMAT_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(ingest, "_BLOCK_ELEMENTS", chunk_cells):
         text = format_ascii_grid(values, grid)
     assert text == per_cell_ascii_grid(values, grid)
 
 
 def _read_in_blocks(path, block_bytes):
     """Read a well-formed grid in blocks of ``block_bytes``."""
-    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes):
         back, grid = read_ascii_grid(path)
     assert back.dtype == np.float64 and back.flags.c_contiguous
     return back, grid
@@ -331,7 +331,7 @@ def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factor
     except HeaderMismatchError as exc:
         whole = str(exc)
     for block_bytes in BLOCK_BYTES:
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes):
             try:
                 blocks = read_ascii_grid(path)
             except HeaderMismatchError as exc:
@@ -376,7 +376,7 @@ def _read_error(path) -> str:
     """The reader's message for a faulty file, the same at every block size."""
     messages = set()
     for block_bytes in BLOCK_BYTES:
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+        with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes), \
                 pytest.raises(HeaderMismatchError) as info:
             read_ascii_grid(path)
         messages.add(str(info.value))

@@ -18,9 +18,7 @@ from breakline_dtm.ingest import (
     BBox,
     PointCloud,
     _drop_nonfinite,
-    _parse_xyz_bulk,
     _parse_xyz_lines,
-    _read_xyz_text,
     bounds,
     loadtxt_f64,
     read_points,
@@ -252,7 +250,7 @@ def test_cli_las_zero_scale_exits_2(tmp_path, capsys):
 
 
 def _per_line_read(data, strict):
-    """The per-line parser alone, without the bulk fast path."""
+    """The per-line parser alone, without the bulk loadtxt route."""
     xyz, skipped = _parse_xyz_lines(data, strict)
     xyz, dropped = _drop_nonfinite(xyz)
     if xyz.shape[0] == 0:
@@ -314,17 +312,26 @@ def _xyz_text(draw):
 @settings(max_examples=400, deadline=None)
 @given(_xyz_text(), st.booleans())
 def test_xyz_fast_path_matches_per_line_parser(data, strict):
-    assert _outcome(_read_xyz_text, data, strict) == _outcome(_per_line_read, data, strict)
+    assert _outcome(read_points, data, strict) == _outcome(_per_line_read, data, strict)
 
 
-def test_xyz_bulk_path_taken_only_on_plain_text():
-    assert _parse_xyz_bulk(b"1 2 3\r\n4\t5 6 extra\n\n") is not None
+def test_xyz_bulk_path_taken_only_on_plain_text(monkeypatch):
+    seen = _route_spy(monkeypatch)
+    read_points(b"1 2 3\r\n4\t5 6 extra\n\n")
+    assert seen == [io.BytesIO]
     # every ASCII line boundary of str.splitlines() is read as LF
     for eol in (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"):
-        xyz = _parse_xyz_bulk(b"1 2 3" + eol + b"4 5 6\r\n7 8 9" + eol)
-        assert xyz is not None and xyz.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    for data in (b"# c\n1 2 3\n", b"1,2,3\n", b"1 2 3\n4 5\n", b"1 2 3\xc3\xa9\n"):
-        assert _parse_xyz_bulk(data) is None
+        seen.clear()
+        xyz = read_points(b"1 2 3" + eol + b"4 5 6\r\n7 8 9" + eol).xyz
+        assert seen == [io.BytesIO] and xyz.tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    for data in (b"# c\n1 2 3\n", b"1,2,3\n", b"1 2 3\xc3\xa9\n"):
+        seen.clear()
+        _outcome(read_points, data, False)  # catches the non-ASCII text's EmptyInputError
+        assert seen == [_parse_xyz_lines]
+    # loadtxt fails on a short line, and the per-line parser reads the text again
+    seen.clear()
+    read_points(b"1 2 3\n4 5\n")
+    assert seen == [io.BytesIO, _parse_xyz_lines]
 
 
 @pytest.mark.parametrize("data", [
@@ -341,18 +348,27 @@ def test_xyz_bulk_path_taken_only_on_plain_text():
 ])
 @pytest.mark.parametrize("strict", [False, True])
 def test_xyz_fast_path_examples(data, strict):
-    assert _outcome(_read_xyz_text, data, strict) == _outcome(_per_line_read, data, strict)
+    assert _outcome(read_points, data, strict) == _outcome(_per_line_read, data, strict)
 
 
 def _route_spy(monkeypatch):
-    """The argument types loadtxt_f64 is called with from here on: str for a file by name."""
+    """The parses of XYZ text from here on, in order.
+
+    A loadtxt_f64 call is recorded as the type of its argument (str for a
+    file by name), a per-line parse as ``_parse_xyz_lines``.
+    """
     seen = []
 
     def spy(text, usecols=None):
         seen.append(type(text))
         return loadtxt_f64(text, usecols)
 
+    def per_line(data, strict):
+        seen.append(_parse_xyz_lines)
+        return _parse_xyz_lines(data, strict)
+
     monkeypatch.setattr(ingest, "loadtxt_f64", spy)
+    monkeypatch.setattr(ingest, "_parse_xyz_lines", per_line)
     return seen
 
 

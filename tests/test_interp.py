@@ -9,6 +9,7 @@ from breakline_dtm.groundfilter import GroundMask
 from breakline_dtm.interp import (
     SOURCE_INTERPOLATED,
     SOURCE_MEASURED,
+    _fill_hole_1d,
     _fill_hole_linear,
     interpolate_nonground,
 )
@@ -86,6 +87,19 @@ def test_collinear_rim_falls_back_to_1d():
     ground[:, 0:3] = False
     dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
     assert np.abs(dtm.elev - z).max() < 1e-9
+
+
+def test_collinear_fill_bits_do_not_depend_on_memory_order():
+    # matmul rounds differently on a Fortran-ordered array; the fill must
+    # give the same bits however its caller gathered the rim points
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        donor_xy = rng.uniform(0, 50, (3, 2))
+        donor_z = rng.normal(50, 2, 3)
+        hole_xy = rng.uniform(0, 50, (4, 2))
+        c_ordered = _fill_hole_1d(donor_xy, donor_z, hole_xy)
+        f_ordered = _fill_hole_1d(np.asfortranarray(donor_xy), donor_z, hole_xy)
+        assert c_ordered.tobytes() == f_ordered.tobytes()
 
 
 def test_collinear_rim_clamps_outside_range():

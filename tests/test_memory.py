@@ -3,8 +3,19 @@
 Each bound is the traced peak a stage may allocate above what was
 allocated when it was entered (its result included), at least 1.5x
 what it takes.  A bound catches a full-size temporary that comes back:
-a copy of the input, a sort of every labelled pixel or an index array
-of every ground cell.
+a copy of the input, a sort of every labelled pixel, an index array of
+every ground cell, or a whole-raster pass where a stage works in
+blocks.  Stages bound their temporaries by three shared sizes: 2**16
+points, cells, probes or targets at once (rasterize_min, the raster
+writer, fill_voids_nearest), strips of 64 rows (slope_map, water_mask)
+and text read 256 KiB at a time (read_ascii_grid and compare, which
+read their grids in step, one band of tile rows at a time).  read_xyz
+parses the file by name, so it holds the cloud, not the file's bytes.
+At numpy 2.4.6 / scipy 1.17.1 the cases take: read_ascii_grid 4.0,
+compare_tiled 0.9, compare and compare_tall 3.5, read_las and read_xyz
+37.1 (the 34.6 MB cloud), rasterize_min 6.2, fill_voids_nearest 9.3,
+interpolate_nonground 6.3, region_stats 2.4, slope_map 4.3 and
+water_mask 1.7 MB.
 """
 
 import tracemalloc
@@ -25,38 +36,6 @@ from test_ingest import make_las
 
 GRID = GridSpec(0.0, 0.0, 0.5, 600, 600)
 POINTS = 1_440_000  # 4 points per square metre
-# at numpy 2.4.6 / scipy 1.17.1 these stages take 38.5, 26.1, 9.2, 3.2
-# and 5.8 MB; before they were rewritten to work in place, 126.4, 72.8,
-# 19.5, 16.7 and 11.3 MB.  With nearest donors found by distance shells,
-# interpolate_nonground takes 6.6 MB and fill_voids_nearest 12.0 MB
-# (17.7 MB with an EDT and tie-break for every void); with region corners
-# built in place, region_stats takes 2.4 MB.  Reading a 3.4 MB ASCII grid
-# takes 8.9 MB whole (the bytes, loadtxt's array and a flipped copy) and
-# 4.2 MB streamed in blocks; compare_tiled with a mask and 250 px tiles
-# takes 3.8 MB with full-size difference and validity rasters and 1.0 MB
-# tile by tile.  The whole compare command on three such grids (a mask
-# with 20 % non-zero cells, 250 px tiles) takes 9.8 MB with a float
-# raster of each grid and 4.7 MB with one difference raster and a bool
-# mask built as b and the mask are read.  With a non-numeric cell in the
-# mask's last row it took 10.5 MB while the fault was named by parsing the
-# whole mask again, and took 4.7 MB named from the block that holds it.
-# slope_map took 13.8 MB with five raster-sized arrays (the padded DSM,
-# both gradients and two temporaries) and takes 4.3 MB in row strips.
-# compare now reads its three grids in step, one band of tile rows at a
-# time, and the reader lets go of each block once it is parsed: read_ascii_grid
-# takes 4.0 MB, compare_tiled 0.9 MB and compare 3.5 MB (3.5 MB with the
-# faulty mask row); on 2400x600 grids ("compare_tall") compare took 13.9 MB
-# with a raster-sized difference and takes 3.5 MB.  read_points on a 43 MB
-# XYZ file of POINTS points took 81.4 MB holding the file's bytes while
-# loadtxt parsed them, and takes 37.1 MB (the 34.6 MB cloud) parsing the
-# file by name.  rasterize_min bins all POINTS on the caller's thread and
-# took 26.1 MB in one pass, as the one-chunk path of its thread pool did;
-# binning 2**16 points at a time it takes 6.2 MB.  Searching donors
-# 2**16 targets at a time, fill_voids_nearest takes 9.3 MB (12.0 MB with
-# every target at once).  water_mask took 5.8 MB with raster-sized int64
-# sums and visible counts and takes 1.7 MB in strips of 64 rows; labelling
-# the holes before the output rasters exist, interpolate_nonground takes
-# 6.3 MB (6.6 MB)
 BOUNDS_MB = {
     "read_ascii_grid": 6.5,
     "compare_tiled": 2.0,
@@ -176,3 +155,16 @@ def test_compare_names_a_fault_in_the_last_mask_row_within_its_bound(tmp_path, c
     assert codes == [2]
     assert "m.asc: non-numeric cell value: " in capsys.readouterr().err
     assert peak <= BOUNDS_MB["compare"], f"compare allocated {peak:.1f} MB"
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+def test_integer_raster_write_casts_a_block_at_a_time(tmp_path, dtype):
+    # an integer raster is written as its float64 cast; cast a block at a
+    # time, it takes about what the cast raster itself takes to write,
+    # not a raster-sized float64 copy (2.7 MB) on top
+    values = np.random.default_rng(7).integers(0, 2000, GRID.shape).astype(dtype)
+    cast = values.astype(np.float64)
+    as_float = traced_peak_mb(write_ascii_grid, cast, GRID, tmp_path / "float.asc")
+    as_int = traced_peak_mb(write_ascii_grid, values, GRID, tmp_path / "int.asc")
+    assert (tmp_path / "int.asc").read_bytes() == (tmp_path / "float.asc").read_bytes()
+    assert as_int <= as_float + 1.0, f"{as_int:.1f} MB against {as_float:.1f} MB"

@@ -310,6 +310,19 @@ def test_cli_dtm_grid_too_large_exits_3(tmp_path, capsys, cell):
     assert "more than the 2147483647 a grid may have" in err
 
 
+@pytest.mark.parametrize("command", ["slope", "dtm"])
+def test_cli_grid_below_3x3_names_the_cell_size(tmp_path, capsys, command):
+    # a 5 x 5 m cloud in 3 m cells is 2x2 cells: the cell size is the cause
+    pts = tmp_path / "p.xyz"
+    pts.write_text("0 0 1\n5 0 1\n0 5 1\n5 5 2\n2 2 1\n")
+    out = tmp_path / "out"
+    assert run_cli([command, pts, "--cell", "3", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "need at least 3x3 cells, got 2x2 at cell size 3.0 m (--cell)" in err
+    assert not out.exists()
+
+
 # allocates and touches ``held`` MB, then replaces itself by the CLI
 HOLD_THEN_EXEC = """
 import os, sys
@@ -510,7 +523,7 @@ def _compare_bad_grid(tmp_path, capsys, payload):
     results = set()
     for argv in ([a, bad], [a, a, "--mask", bad]):
         for block_bytes in BLOCK_BYTES:
-            with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+            with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes):
                 code = run_cli(["compare", *argv, "--out", out])
             printed = capsys.readouterr()
             assert printed.out == "" and not out.exists(), (argv, block_bytes)
@@ -588,7 +601,7 @@ def _read_in_turn(a, b, mask):
     return 0, ""
 
 
-@pytest.mark.parametrize("block_bytes", [1, 64, asciigrid._READ_BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, 64, asciigrid._BLOCK_BYTES])
 @pytest.mark.parametrize("tile_px", [1, 3, 100])
 def test_cli_compare_names_the_fault_of_the_first_faulty_file(
     tmp_path, capsys, block_bytes, tile_px
@@ -623,7 +636,7 @@ def test_cli_compare_names_the_fault_of_the_first_faulty_file(
     masks = [None, "m", "m_first", "m_last", "m_extra", "m_header", "m_missing", "m_other"]
     for a, b, m in itertools.product(["a", "a_last"], bs, masks):
         argv = [files[a], files[b]] + ([] if m is None else ["--mask", files[m]])
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes):
             code = run_cli(["compare", *argv, "--out", out])
         printed = capsys.readouterr()
         expected = _read_in_turn(*argv[:2], None if m is None else files[m])
@@ -688,7 +701,7 @@ def test_cli_compare_prints_and_writes_what_compare_tiled_gives(
         argv = ["compare", paths[0], paths[1], "--tile-px", tile_px, "--top", top, "--out", paths[3]]
         if masked:
             argv += ["--mask", paths[2]]
-        with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes), \
+        with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes), \
                 contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert run_cli(argv) == 0
 
@@ -786,7 +799,7 @@ def test_cli_compare_mask_excludes_every_nonzero_but_nodata(tmp_path, capsys, bl
     (tmp_path / "m.asc").write_text("\n".join(header + rows) + "\n")
     out = tmp_path / "t.csv"
     argv = ["compare", tmp_path / "a.asc", tmp_path / "b.asc", "--mask", tmp_path / "m.asc"]
-    with mock.patch.object(asciigrid, "_READ_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes):
         assert run_cli([*argv, "--tile-px", "4", "--out", out]) == 0
 
     a, _ = read_ascii_grid(tmp_path / "a.asc")

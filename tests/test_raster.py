@@ -250,14 +250,14 @@ def test_rasterize_min_in_point_blocks_equals_bucketing_oracle(n, seed, zero_fir
     block = data.draw(st.integers(1, (n - 1) // 2), label="block")
     cloud = _cloud_across_blocks(np.random.default_rng(seed), n, block, zero_first)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(raster, "_BIN_BLOCK", block)
+        mp.setattr(raster, "_BLOCK_ELEMENTS", block)
         _assert_rasterize_equals_oracle(cloud, zero_first)
 
 
 @pytest.mark.parametrize("zero_first", [True, False])
 def test_rasterize_min_equals_bucketing_oracle_over_two_full_blocks(zero_first):
-    n = 2 * raster._BIN_BLOCK + 500
-    cloud = _cloud_across_blocks(np.random.default_rng(11), n, raster._BIN_BLOCK, zero_first)
+    block = raster._BLOCK_ELEMENTS
+    cloud = _cloud_across_blocks(np.random.default_rng(11), 2 * block + 500, block, zero_first)
     _assert_rasterize_equals_oracle(cloud, zero_first)
 
 
@@ -424,7 +424,7 @@ def test_edt_donors_match_brute_force_in_any_grouping(monkeypatch, annulus_d2, p
     from breakline_dtm import raster
 
     monkeypatch.setattr(raster, "_ANNULUS_D2", annulus_d2)
-    monkeypatch.setattr(raster, "_PROBE_BLOCK", probe_block)
+    monkeypatch.setattr(raster, "_BLOCK_ELEMENTS", probe_block)
     donors = ~_disk(70, 60, 30, 25, 24)
     donors[30, 25] = True  # a donor inside the lake
     targets = np.flatnonzero(~donors)
@@ -444,7 +444,7 @@ def test_blocked_targets_share_one_edt_call(monkeypatch, target_block):
         ndimage, "distance_transform_edt", lambda *a, **k: edt_calls.append(1) or real_edt(*a, **k)
     )
     monkeypatch.setattr(raster, "_edt_donors", lambda *a: handed.append(a[2]) or real_donors(*a))
-    monkeypatch.setattr(raster, "_TARGET_BLOCK", target_block)
+    monkeypatch.setattr(raster, "_BLOCK_ELEMENTS", target_block)
     donors = ~_disk(80, 80, 40, 35, 30)  # 2,821 voids in 6,400 cells
     targets = np.concatenate([np.flatnonzero(~donors), np.arange(0, donors.size, 7)])
     assert targets.size > target_block

@@ -13,6 +13,7 @@ from breakline_dtm.water import (
     WaterParams,
     apply_water,
     nearest_rank,
+    nonvoid_fraction,
     water_mask,
     water_segments,
     water_threshold,
@@ -37,6 +38,13 @@ def test_threshold_zero_density_disables_detection():
     occ = np.zeros((50, 50), dtype=np.int64)
     assert water_threshold(occ, WaterParams()) == 0
     assert not water_mask(occ, 0, WaterParams(9)).any()
+
+
+def test_nonvoid_fraction_counts_occupied_cells():
+    occ = np.array([[0, 1, 3], [0, 0, 2]], dtype=np.int32)
+    assert nonvoid_fraction(occ) == (3, 0.5)
+    with pytest.raises(ParameterError, match="occupancy raster is empty"):
+        water_threshold(np.zeros((0, 4), dtype=np.int32), WaterParams())
 
 
 def test_threshold_direct_arithmetic():
