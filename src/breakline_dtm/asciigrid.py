@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import HeaderMismatchError
 from .ingest import (
-    _BLOCK_BYTES, _lf_lines, _line_blocks, format_6f_blocks, loadtxt_f64, write_blocks
+    _BLOCK_BYTES, _BOOL_TOKENS, _lf_lines, _line_blocks, format_6f_blocks, loadtxt_f64,
+    write_blocks,
 )
 from .raster import GridSpec
 
@@ -28,6 +29,8 @@ NODATA = -9999.0
 # the header's NODATA_value and the token of every non-finite cell
 _NODATA_TOKEN = f"{NODATA:.0f}"
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# the 8 bytes of the False and the True token, each read as one word
+_FALSE_WORD, _TRUE_WORD = np.ascontiguousarray(_BOOL_TOKENS[:, :8]).view("<u8").ravel()
 
 
 def _grid_chunks(values: np.ndarray, grid: GridSpec) -> Iterator[bytes]:
@@ -136,10 +139,38 @@ def _ascii_blocks(path, fh) -> Iterator[bytes]:
         yield _lf_lines(block)
 
 
+def _bool_rows(text: bytes, ncols: int) -> np.ndarray | None:
+    """The rows of a body block written from ``_BOOL_TOKENS``, or None.
+
+    A block is taken only when it is rows of ``ncols`` tokens, each
+    ``0.000000`` or ``1.000000``, separated by one space, and each row
+    ends in an LF: the bytes the bool writer prints.  loadtxt reads such
+    a block as 0.0 and 1.0 in the same shape, so the result is its bits;
+    any other block (a sign, a CR, a blank line, a short row, no final
+    LF) gives None and goes to loadtxt.
+    """
+    if len(text) % (9 * ncols):
+        return None
+    # each token's 8 bytes as one unaligned word, 9 bytes apart: a view, not a copy
+    words = np.ndarray((len(text) // 9,), "<u8", text, strides=(9,))
+    seps = np.frombuffer(text, np.uint8)[8::9].reshape(-1, ncols)
+    true = words == _TRUE_WORD
+    either = words == _FALSE_WORD
+    either |= true
+    if not (
+        either.all()
+        and (seps[:, :-1] == ord(" ")).all()
+        and (seps[:, -1] == ord("\n")).all()
+    ):
+        return None
+    return true.reshape(-1, ncols).astype(np.float64)
+
+
 def _read_blocks(path, fh) -> Iterator:
     """The grid a file declares, then its body as ``(rows, values)`` pairs.
 
-    Each block of whole lines is parsed with loadtxt; ``values`` are its
+    Each block of whole lines is parsed with loadtxt, unless it is made
+    of the bool writer's tokens alone (``_bool_rows``); ``values`` are its
     rows bottom-up, for ``raster[rows]`` of a raster on the grid, row 0
     south, so neither the file nor a flipped copy is ever held.  After the
     first fault the rest of the file is still read, block by block and
@@ -173,7 +204,9 @@ def _read_blocks(path, fh) -> Iterator:
     ragged = bad_cell = None  # the first row without ncols values, the first bad cell
     for text in body:
         try:
-            data = loadtxt_f64(io.BytesIO(text))
+            data = _bool_rows(text, ncols)
+            if data is None:
+                data = loadtxt_f64(io.BytesIO(text))
         except ValueError as exc:
             failed = True
             # str.split() splits, and skips blank lines, as loadtxt does: rows stays its count

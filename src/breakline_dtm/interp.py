@@ -129,6 +129,9 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
         rim_rc = np.column_stack((rows, cols))
         donor_xy = rim_rc[:, ::-1] + 0.5  # (x, y) in cell units
         donor_z = dsm.elev[rs, cs][rim_rc[:, 0], rim_rc[:, 1]]
+        # Fortran-ordered, as argwhere's result is; _fill_hole_1d projects
+        # it with a matmul that rounds by memory order, so the bits of holes
+        # with a collinear rim depend on this layout: keep it
         hole_xy = hole_rc[:, ::-1] + 0.5
 
         if _is_collinear(rim_rc):  # fewer than 3 rim points, or all on one line

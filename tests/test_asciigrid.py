@@ -74,6 +74,12 @@ rasters = st.one_of(
     hnp.arrays(np.float64, st.tuples(st.just(1), st.integers(1, 40)), elements=cells),
     hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(1)), elements=cells),
 )
+# the reader's rasters: bool ones too, whose text as written skips loadtxt
+grid_rasters = st.one_of(
+    rasters,
+    hnp.arrays(np.bool_, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    hnp.arrays(np.bool_, st.tuples(st.integers(1, 40), st.just(1))),
+)
 
 
 def test_single_cell_exact_bytes():
@@ -282,9 +288,12 @@ def _read_in_blocks(path, block_bytes):
 
 
 def _drawn_grid_text(values, data) -> str:
-    """The grid text of ``values`` with drawn field separators and line ends."""
+    """The grid text of ``values``, as written or with drawn field separators and line ends."""
     grid = GridSpec(-3.5, 7.25, 0.5, values.shape[1], values.shape[0])
-    lines = format_ascii_grid(values, grid).split("\n")
+    text = format_ascii_grid(values, grid)
+    if data.draw(st.booleans()):
+        return text
+    lines = text.split("\n")
     # every ASCII line boundary of str.splitlines(), mixed within a file
     eols = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
     sep = data.draw(st.sampled_from([" ", "\t", " \x1f"]))
@@ -292,7 +301,7 @@ def _drawn_grid_text(values, data) -> str:
 
 
 @settings(max_examples=100, deadline=None)
-@given(rasters, st.data(), st.sampled_from(BLOCK_BYTES))
+@given(grid_rasters, st.data(), st.sampled_from(BLOCK_BYTES))
 def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_bytes):
     text = _drawn_grid_text(values, data)
     path = tmp_path_factory.mktemp("grid") / "g.asc"
@@ -305,7 +314,7 @@ def test_reader_equals_per_line_oracle(tmp_path_factory, values, data, block_byt
 
 
 @settings(max_examples=150, deadline=None)
-@given(rasters, st.data())
+@given(grid_rasters, st.data())
 def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factory, values, data):
     # a valid grid with a few bytes inserted or deleted at random: each
     # block size reads what the whole-file pass reads, or raises the fault
@@ -314,7 +323,7 @@ def test_block_pass_agrees_with_whole_file_pass_on_mutated_grids(tmp_path_factor
     lines = [ln + b"\n" for ln in _lf_lines(raw).split(b"\n")]
     inserts = st.sampled_from([
         b" ", b"\n", b"\r", b"\x0b", b"\x1f", b"\n\x1f\n", b"x", b"1", b"-9999", b"nan",
-        b"\xe9",
+        b"\xe9", b"-", b"0.000000 ",
         *lines[:6],  # a header line
         lines[-2],  # a data row
     ])
@@ -431,3 +440,109 @@ def test_reader_errors_name_the_file(tmp_path):
     for payload, pattern in cases:
         p.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         assert re.search(pattern, _read_error(p)), (payload, pattern)
+
+
+# a data row in the middle of a 6-row bool grid's body, as the file stores it
+ROW = 6 + 3
+
+
+def _edit_row(edit):
+    """A mutation that rewrites the line ``ROW`` of a grid's lines."""
+    return lambda lines: b"".join(lines[:ROW] + [edit(lines[ROW])] + lines[ROW + 1 :])
+
+
+# near misses of the bool writer's bytes: each leaves the word compare
+# for loadtxt, or keeps it and changes what NODATA is
+NEAR_MISSES = {
+    **{
+        f"token {tok.decode()}": _edit_row(lambda line, tok=tok: tok + line[8:])
+        for tok in [b"2.000000", b"0.000001", b"-0.000000", b"1.0000000", b"1"]
+    },
+    "doubled space": _edit_row(lambda line: line.replace(b" ", b"  ", 1)),
+    # a separator byte that is not the writer's, the row length kept
+    "tab": _edit_row(lambda line: line.replace(b" ", b"\t", 1)),
+    "split row": _edit_row(lambda line: line.replace(b" ", b"\n", 1)),
+    "joined rows": _edit_row(lambda line: line[:-1] + b" "),
+    "trailing space": _edit_row(lambda line: line[:-1] + b" \n"),
+    "blank line": _edit_row(lambda line: line + b"\n"),
+    "short row": _edit_row(lambda line: line[:-10] + b"\n"),
+    "long row": _edit_row(lambda line: line[:-1] + b" 1.000000\n"),
+    "CRLF": lambda lines: b"".join(lines).replace(b"\n", b"\r\n"),
+    "no final LF": lambda lines: b"".join(lines)[:-1],
+    **{
+        f"NODATA_value {v}": lambda lines, v=v: b"".join(lines).replace(
+            b"NODATA_value -9999", f"NODATA_value {v}".encode()
+        )
+        for v in (0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_near_misses_of_a_bool_grid_read_as_the_whole_file_pass(tmp_path, name):
+    values = np.arange(30).reshape(6, 5) % 3 == 0
+    text = format_ascii_grid(values, GridSpec(0.0, 0.0, 1.0, 5, 6)).encode("ascii")
+    path = tmp_path / "m.asc"
+    path.write_bytes(NEAR_MISSES[name](text.splitlines(keepends=True)))
+    try:
+        whole = whole_file_ascii_grid(path)
+    except HeaderMismatchError as exc:
+        whole = str(exc)
+    for block_bytes in BLOCK_BYTES:
+        with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(asciigrid, "loadtxt_f64", wraps=ingest.loadtxt_f64) as spy:
+            try:
+                back = read_ascii_grid(path)
+            except HeaderMismatchError as exc:
+                back = str(exc)
+        # only a NODATA header keeps every block of tokens alone
+        assert spy.called == (not name.startswith("NODATA")), (name, block_bytes)
+        if isinstance(whole, str):
+            assert back == whole, (name, block_bytes)
+        else:
+            assert back[0].tobytes() == whole[0].tobytes() and back[1] == whole[1], name
+    if name == "token -0.000000":
+        assert np.signbit(back[0][6 - 1 - (ROW - 6), 0])
+
+
+def _spied_read(path, block_bytes):
+    """The raster read, the body blocks the reader saw, and those it gave loadtxt."""
+    seen, parsed = [], []
+    bool_rows, loadtxt_f64 = asciigrid._bool_rows, asciigrid.loadtxt_f64
+
+    def seeing(text, ncols):
+        seen.append(text)
+        return bool_rows(text, ncols)
+
+    def parsing(stream):
+        parsed.append(stream.getvalue())
+        return loadtxt_f64(stream)
+
+    with mock.patch.object(asciigrid, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(asciigrid, "_bool_rows", seeing), \
+            mock.patch.object(asciigrid, "loadtxt_f64", parsing):
+        back, _ = read_ascii_grid(path)
+    return back, seen, parsed
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_only_blocks_with_a_foreign_token_go_to_loadtxt(tmp_path, block_bytes):
+    # 576 KB of bool body: three blocks at the default size, a row each below
+    rng = np.random.default_rng(11)
+    grid = GridSpec(0.0, 0.0, 1.0, 64, 1000)
+    mask = rng.random(grid.shape) < 0.3
+    path = tmp_path / "g.asc"
+    for values in (mask, rng.normal(50, 2, grid.shape)):
+        write_ascii_grid(values, grid, path)
+        back, seen, parsed = _spied_read(path, block_bytes)
+        assert back.tobytes() == whole_file_ascii_grid(path)[0].tobytes()
+        assert b"".join(seen) == path.read_bytes().split(b"\n", 6)[6]
+        # every block of a float grid goes to loadtxt, none of a bool grid's
+        assert parsed == ([] if values is mask else [text for text in seen if text])
+    write_ascii_grid(mask, grid, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[500] = b"2.000000" + lines[500][8:]
+    path.write_bytes(b"".join(lines))
+    back, seen, parsed = _spied_read(path, block_bytes)
+    assert back.tobytes() == whole_file_ascii_grid(path)[0].tobytes()
+    assert len(parsed) == 1 and parsed == [text for text in seen if b"2.000000" in text]

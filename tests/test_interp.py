@@ -102,6 +102,27 @@ def test_collinear_fill_bits_do_not_depend_on_memory_order():
         assert c_ordered.tobytes() == f_ordered.tobytes()
 
 
+def test_collinear_hole_pixels_are_projected_in_the_pipelines_memory_order():
+    # a corner hole whose rim is one diagonal: interpolate_nonground builds
+    # hole_xy Fortran-ordered, and (n, 2) @ (2,) rounds by memory order
+    # for some n, so a C-ordered copy of hole_xy would move these bits
+    grid = GridSpec(0, 0, 1, 6, 6)
+    ground = np.ones(grid.shape, bool)
+    hole = ([0, 0, 1], [4, 5, 5])
+    ground[hole] = False
+    z = np.random.default_rng(3).normal(50, 5, grid.shape)
+    dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
+    # the arguments interpolate_nonground passes, in its window rows 0:3, columns 3:6
+    donor_xy = np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]])
+    donor_z = z[[0, 1, 2], [3, 4, 5]]
+    hole_xy = np.argwhere(~ground[:3, 3:])[:, ::-1] + 0.5
+    assert hole_xy.strides == (8, 24)
+    f_ordered = _fill_hole_1d(donor_xy, donor_z, hole_xy)
+    c_ordered = _fill_hole_1d(donor_xy, donor_z, np.ascontiguousarray(hole_xy))
+    assert dtm.elev[hole].tobytes() == f_ordered.tobytes()
+    assert f_ordered.tobytes() != c_ordered.tobytes()
+
+
 def test_collinear_rim_clamps_outside_range():
     grid = GridSpec(0, 0, 1, 12, 8)
     z = plane(grid, 5.0, 1.0, 0.0)  # varies only with x

@@ -9,7 +9,8 @@ blocks.  Stages bound their temporaries by three shared sizes: 2**16
 points, cells, probes or targets at once (rasterize_min, the raster
 writer, fill_voids_nearest), strips of 64 rows (slope_map, water_mask)
 and text read 256 KiB at a time (read_ascii_grid and compare, which
-read their grids in step, one band of tile rows at a time).  read_xyz
+read their grids in step, one band of tile rows at a time; a block of
+bool tokens is compared as words, in no more than loadtxt takes).  read_xyz
 parses the file by name, so it holds the cloud, not the file's bytes.
 At numpy 2.4.6 / scipy 1.17.1 the cases take: read_ascii_grid 4.0,
 compare_tiled 0.9, compare and compare_tall 3.5, read_las and read_xyz
@@ -18,12 +19,14 @@ interpolate_nonground 6.3, region_stats 2.4, slope_map 4.3 and
 water_mask 1.7 MB.
 """
 
+import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from breakline_dtm import cli
+from breakline_dtm import asciigrid, cli
 from breakline_dtm.asciigrid import read_ascii_grid, write_ascii_grid
 from breakline_dtm.groundfilter import GroundMask, Segmentation, label_4connected, region_stats
 from breakline_dtm.ingest import PointCloud, _read_las, read_points, write_points_xyz
@@ -168,3 +171,22 @@ def test_integer_raster_write_casts_a_block_at_a_time(tmp_path, dtype):
     as_int = traced_peak_mb(write_ascii_grid, values, GRID, tmp_path / "int.asc")
     assert (tmp_path / "int.asc").read_bytes() == (tmp_path / "float.asc").read_bytes()
     assert as_int <= as_float + 1.0, f"{as_int:.1f} MB against {as_float:.1f} MB"
+
+
+
+def test_bool_grid_read_by_word_compare_holds_no_more_than_through_loadtxt(tmp_path):
+    # a bool grid's blocks skip loadtxt: the words and the cast rows of a
+    # block may take no more than loadtxt takes to parse it.  The whole
+    # read peaks while the next block is read, the same on both routes;
+    # two reads on one route differ by a few hundred bytes of objects
+    path = tmp_path / "m.asc"
+    write_ascii_grid(np.random.default_rng(7).random(GRID.shape) < 0.2, GRID, path)
+    body = path.read_bytes().split(b"\n", 6)[6]
+    block = body[: body.rindex(b"\n", 0, asciigrid._BLOCK_BYTES) + 1]
+    by_words = traced_peak_mb(asciigrid._bool_rows, block, GRID.ncols)
+    by_loadtxt = traced_peak_mb(lambda: asciigrid.loadtxt_f64(io.BytesIO(block)))
+    assert by_words <= by_loadtxt, f"{by_words:.3f} MB against {by_loadtxt:.3f} MB"
+    words = traced_peak_mb(read_ascii_grid, path)
+    with mock.patch.object(asciigrid, "_bool_rows", lambda text, ncols: None):
+        parsed = traced_peak_mb(read_ascii_grid, path)
+    assert words <= parsed + 0.01, f"{words:.3f} MB against {parsed:.3f} MB through loadtxt"
