@@ -10,6 +10,11 @@ more buildings into the terrain; this sweep makes the trade-off visible.
 """
 
 import argparse
+import os
+
+# numpy sizes its OpenBLAS thread pool once, as it loads; like the command
+# line, this library caller sets the variable before its first numpy import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from breakline_dtm.groundfilter import FilterParams
 from breakline_dtm.ingest import BBox

@@ -13,13 +13,20 @@ internal failure.  Malformed command lines exit with 2 via argparse.
 
 from __future__ import annotations
 
+import os
+
+# numpy and scipy each start an OpenBLAS thread pool as they load, sized
+# by this variable, so it is set before any import that loads numpy: a
+# pool of more threads slows both imports (README, "Operations") and no
+# stage gains from it. A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import atexit
 import csv
 import functools
 import gc
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -308,10 +315,6 @@ def _freeze_heap_at_exit() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # scipy's OpenBLAS reads this once, when the subcommand loads scipy;
-    # with its default thread count the hole fill's many tiny LAPACK calls
-    # stall. A value the caller set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _freeze_heap_at_exit()
     args = build_parser().parse_args(argv)
     try:

@@ -65,6 +65,88 @@ def _fill_hole_1d(
     return np.interp(t_h, uniq, z_sorted[idx])
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = a + b`` rounded and ``s + e == a + b`` exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fma_small(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a*b + c`` rounded once, for integers ``a`` of at most 26 bits.
+
+    ``a*b`` is split exactly into ``p + pl`` (Dekker's product; ``a``
+    needs no split of its own), and ``c + p + pl`` is rounded once by
+    summing its low parts rounded to odd (Boldo and Melquiond, "Emulation
+    of FMA and correctly rounded sums: proved algorithms using rounding
+    to odd", 2008).
+    """
+    p = a * b
+    t = 134217729.0 * b  # Veltkamp's split: bh holds b's high 26 bits
+    bh = t - (t - b)
+    pl = (a * bh - p) + a * (b - bh)
+    th, tl = _two_sum(c, p)
+    v, e = _two_sum(tl, pl)
+    # round to odd: an inexact v is truncated toward zero, then its last bit set
+    inexact = e != 0
+    bits = v.view(np.int64)
+    bits -= inexact & (np.signbit(v) != np.signbit(e))
+    bits |= inexact
+    return th + v
+
+
+def _barycentric_transform(points: np.ndarray, simplices: np.ndarray) -> np.ndarray | None:
+    """scipy's ``Delaunay.transform`` for a lattice triangulation, bit for bit, or None.
+
+    scipy inverts each simplex's edge matrix ``A`` (row j: vertex j minus
+    vertex 2) with one LAPACK call per simplex; this replays the order of
+    scipy's OpenBLAS on every simplex at once. LU with partial pivoting
+    (ties keep row 0), ``l = a10 * (1/a00)`` and ``u11 = a11 - l*a01``
+    unfused; for each column ``y`` of the row swap, ``y1 - l*y0`` gives
+    ``0 - l`` or 1, ``x1 = y1 * (1/u11)`` and ``x0 = fma(-u01, x1, y0) *
+    (1/u00)``, the one fused step. Row k of the result is column k of
+    ``A``'s inverse, and row 2 is vertex 2.
+
+    Integer edges below 2^11 with a nonzero determinant keep the
+    condition number below 2^24, so scipy's near-singular test never
+    fires and ``u01`` needs no split. Any other triangulation gives None,
+    and the caller keeps scipy's transform.
+    """
+    p = points[simplices]
+    a = p[:, :2] - p[:, 2:]
+    if not ((np.abs(a) < 2048) & (a == np.rint(a))).all():
+        return None
+    a00, a01, a10, a11 = a.reshape(-1, 4).T
+    if not (a00 * a11 != a01 * a10).all():  # exact: each product is below 2^22
+        return None
+    swap = np.abs(a10) > np.abs(a00)
+    u00 = np.where(swap, a10, a00)
+    u01 = np.where(swap, a11, a01)
+    l = np.where(swap, a00, a10) * (1.0 / u00)
+    u11 = np.where(swap, a01, a11) - l * u01
+    # column k of the row swap starts with a 1 exactly where k == swap
+    y0 = np.column_stack((~swap, swap)).astype(np.float64)
+    x1 = np.where(y0 == 1.0, (0.0 - l)[:, None], 1.0) * (1.0 / u11)[:, None]
+    x0 = _fma_small(-u01[:, None], x1, y0) * (1.0 / u00)[:, None]
+    out = np.empty((len(simplices), 3, 2))
+    out[:, :2, 0] = x0
+    out[:, :2, 1] = x1
+    out[:, 2] = p[:, 2]
+    return out
+
+
+def _triangulate(xy: np.ndarray):
+    """Qhull's Delaunay triangulation of ``xy``, with its transform from numpy where exact."""
+    from scipy.spatial import Delaunay
+
+    tri = Delaunay(xy)
+    transform = _barycentric_transform(tri.points, tri.simplices)
+    if transform is not None:
+        # scipy's transform property and find_simplex read this cache
+        tri._transform = transform
+    return tri
+
+
 def _fill_hole_linear(tri, donor_z: np.ndarray, hole_xy: np.ndarray) -> np.ndarray:
     """Barycentric fill on the Delaunay triangulation ``tri``; NaN outside its hull.
 
@@ -88,7 +170,6 @@ def _fill_hole_linear(tri, donor_z: np.ndarray, hole_xy: np.ndarray) -> np.ndarr
 def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
     """Copy ground pixels and fill non-ground holes from their ground rims."""
     from scipy import ndimage
-    from scipy.spatial import Delaunay
 
     if dsm.grid != ground.grid:
         raise ValueError("DSM and ground mask grids differ")
@@ -144,7 +225,7 @@ def interpolate_nonground(dsm: Dsm, ground: GroundMask) -> DtmRaster:
             in_box = ((hole_rc >= lo) & (hole_rc <= hi)).all(axis=1)
             values = np.full(len(hole_rc), np.nan)
             if in_box.any():
-                values[in_box] = _fill_hole_linear(Delaunay(donor_xy), donor_z, hole_xy[in_box])
+                values[in_box] = _fill_hole_linear(_triangulate(donor_xy), donor_z, hole_xy[in_box])
             outside = np.isnan(values)
             if outside.any():
                 flat = hole_rc[outside, 0] * hole.shape[1] + hole_rc[outside, 1]

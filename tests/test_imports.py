@@ -1,12 +1,16 @@
-"""Which scipy modules a command loads, checked in fresh interpreters.
+"""Which modules a command loads, checked in fresh interpreters.
 
-Importing the package loads numpy only; scipy is imported inside the
-functions that call it, so `compare` and `synth` never load it and `dtm`
-loads `scipy.ndimage` and `scipy.spatial` but not `scipy.interpolate`.
-The CLI runs scipy's OpenBLAS on one thread unless the caller chose a
-count, and neither its import nor `compare` loads `concurrent.futures`.
+Importing the package loads no numpy: each public name is loaded from
+its module on first access. Importing a module of the package loads
+numpy; scipy is imported inside the functions that call it, so `compare`
+and `synth` never load it and `dtm` loads `scipy.ndimage` and
+`scipy.spatial` but not `scipy.interpolate`. The CLI sets
+OPENBLAS_NUM_THREADS before numpy loads, so numpy's and scipy's OpenBLAS
+run on one thread unless the caller chose a count, and neither its
+import nor `compare` loads `concurrent.futures`.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -38,19 +42,25 @@ POOL_PROBE = PROBE.replace(
 )
 
 
-# runs argv through the CLI, then prints the exit code and the thread count
-# of the OpenBLAS scipy loaded (null where that library or symbol is absent)
+# runs argv (if any) through the CLI, then prints the exit code and the
+# thread count of the OpenBLAS that numpy and scipy each loaded (absent
+# where the package is not loaded, or its library lacks the symbol)
 BLAS_PROBE = """
 import ctypes, glob, json, os, sys
 import breakline_dtm.cli
-rc = breakline_dtm.cli.main(sys.argv[1:])
-libs = os.path.join(os.path.dirname(sys.modules["scipy"].__file__), os.pardir, "scipy.libs")
-threads = None
-for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads", None)
-    if get is not None:
-        get.argtypes, get.restype = [], ctypes.c_int
-        threads = get()
+rc = breakline_dtm.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+threads = {}
+for pkg, symbol in (
+    ("numpy", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_get_num_threads"),
+):
+    if pkg in sys.modules:
+        libs = os.path.join(os.path.dirname(sys.modules[pkg].__file__), os.pardir, pkg + ".libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+            get = getattr(ctypes.CDLL(path), symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads[pkg] = get()
 print(json.dumps({"rc": rc, "threads": threads}))
 """
 
@@ -127,12 +137,42 @@ def test_dtm_loads_no_scipy_interpolate_and_times_the_scipy_import(tmp_path):
     assert report["timings_s"]["scipy_import"] > 0
 
 
+def test_import_package_loads_no_numpy():
+    script = "import json, sys, breakline_dtm; print(json.dumps('numpy' in sys.modules))"
+    assert probe(script=script) is False
+
+
+def test_every_public_name_resolves_to_its_module_attribute():
+    assert breakline_dtm.__all__ == sorted(breakline_dtm._EXPORTS)
+    for name in breakline_dtm.__all__:
+        owner = importlib.import_module(f"breakline_dtm.{breakline_dtm._EXPORTS[name]}")
+        assert getattr(breakline_dtm, name) is getattr(owner, name)
+        assert name in dir(breakline_dtm)
+    assert "__version__" in dir(breakline_dtm)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        breakline_dtm.no_such_name
+    from breakline_dtm import raster
+
+    assert raster is sys.modules["breakline_dtm.raster"]
+
+
+@pytest.mark.parametrize("preset", [None, 2])
+def test_cli_import_runs_numpy_openblas_on_one_thread_unless_set(preset):
+    if preset is not None and (os.cpu_count() or 1) < preset:
+        pytest.skip("OpenBLAS caps its threads at the CPU count")
+    res = probe(script=BLAS_PROBE, blas_threads=preset)
+    if "numpy" not in res["threads"]:
+        pytest.skip("numpy loads no libscipy_openblas64_ with scipy_openblas_get_num_threads64_")
+    assert res == {"rc": None, "threads": {"numpy": preset or 1}}
+
+
 @pytest.mark.parametrize("preset", [None, 2])
 def test_cli_runs_scipy_openblas_on_one_thread_unless_set(tmp_path, preset):
     if preset is not None and (os.cpu_count() or 1) < preset:
         pytest.skip("OpenBLAS caps its threads at the CPU count")
     argv = ("dtm", _tiny_scene(tmp_path), "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
     res = probe(*argv, script=BLAS_PROBE, blas_threads=preset)
-    if res["threads"] is None:
+    if "scipy" not in res["threads"]:
         pytest.skip("scipy loads no libscipy_openblas with scipy_openblas_get_num_threads")
-    assert res == {"rc": 0, "threads": preset or 1}
+    assert res["rc"] == 0
+    assert res["threads"]["scipy"] == (preset or 1)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,8 +11,11 @@ from breakline_dtm.groundfilter import GroundMask
 from breakline_dtm.interp import (
     SOURCE_INTERPOLATED,
     SOURCE_MEASURED,
+    _barycentric_transform,
     _fill_hole_1d,
     _fill_hole_linear,
+    _fma_small,
+    _triangulate,
     interpolate_nonground,
 )
 from breakline_dtm.raster import Dsm, GridSpec
@@ -283,6 +288,115 @@ def test_linear_fill_matches_scipy_interpolator_bit_for_bit(case):
         assume(False)  # interpolate_nonground sends collinear rims to the 1-D fill first
     q = _half_cell_queries(xy)
     assert _same_bits(_fill_hole_linear(tri, z, q), scipy_linear_fill(tri, z, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(-2047, 2047),
+    b=st.floats(-4, 4, allow_subnormal=False).filter(lambda b: b == 0 or abs(b) > 2.0**-500),
+    c=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, allow_subnormal=False)),
+)
+# 1 - 2^-54 - a hair: summed to nearest, the low parts meet on a tie and
+# round to 1 - 2^-53's even neighbour 1.0; rounded to odd they do not
+@example(a=-5, b=2.0**-54 / 5, c=1.0)
+@example(a=-11, b=2.0**-54 / 11, c=1.0)
+def test_fma_small_rounds_once(a, b, c):
+    got = _fma_small(np.array([float(a)]), np.array([b]), np.array([c]))
+    assert got[0] == float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@st.composite
+def _lattice_rims(draw):
+    """Cell-centre points whose triangles stress the numpy transform.
+
+    ``scatter`` draws points in a box up to 2047 cells wide, the widest
+    the helper takes; ``ties`` puts points on the diagonals, so pivots tie
+    (|a10| = |a00|); ``sliver`` lifts one point of a long line by one
+    cell, so triangles are thin.  Each axis may be mirrored, so edges and
+    coordinates take both signs.
+    """
+    kind = draw(st.sampled_from(["scatter", "ties", "sliver"]))
+    if kind == "scatter":
+        side = draw(st.sampled_from([3, 12, 200, 2047]))
+        coord = st.integers(0, side)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=40))
+        pts += [(0, 0), (side, side)]
+    elif kind == "ties":
+        n = draw(st.integers(2, 12))
+        pts = [(i, i) for i in range(n)] + [(i, n - i) for i in range(n)]
+        pts += draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=10))
+    else:
+        n = draw(st.integers(2, 30))
+        dx, dy = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (7, 3), (60, 1)]))
+        k = draw(st.integers(0, n))
+        pts = [(i * dx, i * dy) for i in range(n + 1)] + [(k * dx, k * dy + 1)]
+    flip = np.array([draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))])
+    return np.unique(np.asarray(pts) * flip, axis=0).astype(np.float64) + 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=_lattice_rims())
+@example(xy=np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float) + 0.5)
+@example(xy=np.array([(0, 0), (-1, 1), (1, 1), (0, 2)], dtype=float) - 0.5)
+def test_numpy_transform_equals_scipys_bit_for_bit(xy):
+    try:
+        tri = Delaunay(xy)
+    except QhullError:
+        assume(False)  # a collinear rim is filled in 1-D, never triangulated
+    got = _barycentric_transform(tri.points, tri.simplices)
+    assert got is not None
+    assert _same_bits(got, tri.transform)
+
+
+@settings(max_examples=50, deadline=None)
+@given(xy=_lattice_rims())
+def test_find_simplex_reads_the_numpy_transform(xy):
+    # scipy's Delaunay caches its transform in the private _transform,
+    # and both its transform property and find_simplex read that cache;
+    # if a scipy version stops doing so, this test must fail
+    try:
+        fresh = Delaunay(xy)
+    except QhullError:
+        assume(False)
+    tri = _triangulate(xy)
+    assert tri._transform is not None and tri.transform is tri._transform
+    q = _half_cell_queries(xy) if np.ptp(xy, axis=0).max() < 64 else xy + 0.25
+    assert np.array_equal(tri.find_simplex(q), fresh.find_simplex(q))
+    tri._transform = np.full_like(tri._transform, np.nan)
+    assert (tri.find_simplex(q) == -1).all()
+
+
+@pytest.mark.parametrize(
+    "xy",
+    [
+        [(0, 0), (2048, 0), (0, 3)],  # an edge of 2^11 cells
+        [(0, 0), (5, 0.25), (0, 3)],  # off the lattice
+    ],
+)
+def test_triangles_outside_the_helpers_range_keep_scipys_transform(xy):
+    xy = np.asarray(xy, dtype=np.float64) + 0.5
+    tri = _triangulate(xy)
+    assert _barycentric_transform(tri.points, tri.simplices) is None
+    assert tri._transform is None
+    assert _same_bits(tri.transform, Delaunay(xy).transform)
+
+
+def test_hole_wider_than_the_helpers_range_is_filled_as_scipy_fills_it(monkeypatch):
+    from breakline_dtm import interp
+
+    made = []
+    real = interp._barycentric_transform
+    monkeypatch.setattr(
+        interp, "_barycentric_transform", lambda *a: made.append(real(*a)) or made[-1]
+    )
+    # three ground pixels, the rim of one hole: a triangle 2099 cells wide
+    grid = GridSpec(0, 0, 1, 2100, 3)
+    z = np.random.default_rng(5).normal(0.0, 10.0, grid.shape)
+    ground = np.zeros(grid.shape, bool)
+    ground[0, 0] = ground[2, 0] = ground[0, -1] = True
+    dtm = interpolate_nonground(Dsm(grid, z), GroundMask(grid, ground))
+    assert made == [None]
+    assert _same_bits(dtm.elev, per_hole_fill(z, ground))
 
 
 @st.composite

@@ -493,6 +493,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "#1 tile" not in capsys.readouterr().out
 
 
+# for every subcommand: an unreadable number, a wrong number of values and
+# an unknown flag, each refused by argparse with its usage code
+_UNREADABLE_COMMAND_LINES = {
+    "dtm": (["--cell", "abc"], ["--crop", "0", "0", "1"], ["--no-such-flag"]),
+    "slope": (["--cell", "abc"], ["--slope-threshold"], ["--no-such-flag"]),
+    "water": (["--window", "3.5"], ["--window"], ["--no-such-flag"]),
+    "compare": (["--tile-px", "x"], ["--tile-px"], ["--no-such-flag"]),
+    "synth": (["--seed", "x"], ["--density"], ["--no-such-flag"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [(c, e) for c, cases in _UNREADABLE_COMMAND_LINES.items() for e in cases],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_cli_command_line_argparse_cannot_read_exits_2(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    if command == "compare":
+        grid = tmp_path / "g.asc"
+        write_ascii_grid(np.zeros((4, 4)), GridSpec(0, 0, 1.0, 4, 4), grid)
+        argv = ["compare", grid, grid, "--out", out / "t.csv"]
+    elif command == "synth":
+        write_scene_file(tmp_path / "scene.txt")
+        argv = ["synth", tmp_path / "scene.txt", "--out-dir", out]
+    else:
+        pts = tmp_path / "p.xyz"
+        pts.write_text("0 0 1\n1 0 1\n0 1 1\n1 1 1\n")
+        argv = [command, pts, "--out-dir", out]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: breakline-dtm") and ": error: " in err
+    assert not out.exists()
+
+
 def test_cli_compare_refuses_a_bad_tile_px_before_opening_a_file(tmp_path, capsys):
     # the paths name no file: the parameter is checked first, as --top is
     missing = [tmp_path / "a.asc", tmp_path / "b.asc", "--mask", tmp_path / "m.asc"]
