@@ -23,19 +23,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import atexit
-import csv
 import functools
 import gc
 import json
 import sys
-import time
 from pathlib import Path
 
 from .asciigrid import write_ascii_grid
 from .errors import InputDataError, ParameterError, PipelineError
 from .groundfilter import FilterParams, region_report_rows
-from .ingest import BBox, bounds, read_points, write_points_xyz
-from .pipeline import PipelineConfig, _peak_rss_mb, run_pipeline
+from .ingest import BBox, bounds, read_points, write_blocks, write_csv, write_points_xyz
+from .pipeline import PipelineConfig, _peak_rss_mb, _StageTimer, run_pipeline
 from .raster import fill_voids_nearest, make_grid_spec, rasterize_min
 from .scene import load_scene, sample_points, truth_rasters
 from .slope import break_line_mask, slope_map
@@ -159,13 +157,15 @@ def _cloud_config(args, **params) -> PipelineConfig:
     return PipelineConfig(cell=args.cell, strict_parse=args.strict, workers=args.workers, **params)
 
 
+def _water_params(args) -> WaterParams:
+    return WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
+
+
 def _cmd_dtm(args) -> int:
     cfg = _cloud_config(
         args,
         filter_params=FilterParams(args.slope_threshold, args.a1, args.a2, args.rectangularity),
-        water_params=WaterParams(
-            args.window, args.confidence, args.percentile, args.min_segment_px
-        ),
+        water_params=_water_params(args),
         crop=None if args.crop is None else _crop_bbox(args.crop),
         intermediates=args.emit_intermediates,
     )
@@ -175,33 +175,31 @@ def _cmd_dtm(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     grid = res.dtm.grid
-    writes_s: dict[str, float] = {}
-
-    def write(values, name: str) -> None:
-        start = time.perf_counter()
-        write_ascii_grid(values, grid, out / name)
-        writes_s[name] = round(time.perf_counter() - start, 6)
-
-    write(res.dtm.elev, "dtm.asc")
-    write(res.ground.is_ground, "ground_mask.asc")
-    write(res.water.is_water, "water_mask.asc")
+    rasters = {
+        "dtm.asc": res.dtm.elev,
+        "ground_mask.asc": res.ground.is_ground,
+        "water_mask.asc": res.water.is_water,
+    }
     if args.emit_intermediates:
-        write(res.dsm.elev, "dsm.asc")
-        write(res.sparse.occupancy, "occupancy.asc")
-        write(res.slope.slope_deg, "slope.asc")
-        write(res.breaks.is_break, "break_mask.asc")
-        write(res.segmentation.label, "labels.asc")
-        write(res.dtm.source, "source.asc")
-
-    with open(out / "regions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "area_m2", "rectangularity", "class"])
-        for row in region_report_rows(res.stats, cfg.filter_params):
-            writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", row[3]])
+        rasters |= {
+            "dsm.asc": res.dsm.elev,
+            "occupancy.asc": res.sparse.occupancy,
+            "slope.asc": res.slope.slope_deg,
+            "break_mask.asc": res.breaks.is_break,
+            "labels.asc": res.segmentation.label,
+            "source.asc": res.dtm.source,
+        }
+    writes = _StageTimer()  # each raster write timed as run_pipeline times a stage
+    for name, values in rasters.items():
+        writes.run(name, functools.partial(write_ascii_grid, values, grid, out / name))
+    regions = region_report_rows(res.stats, cfg.filter_params)
+    write_csv(out / "regions.csv", ["label", "area_m2", "rectangularity", "class"], regions)
     _write_water_csv(out / "water_segments.csv", res.water)
     # written last, so the report can carry the time and memory of every raster write
-    report = {**res.report, "writes_s": writes_s, "writes_peak_rss_mb": round(_peak_rss_mb(), 3)}
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report = {**res.report, "writes_s": writes.timings}
+    report["writes_peak_rss_mb"] = round(_peak_rss_mb(), 3)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    write_blocks(out / "report.json", [text.encode()])
 
     print(f"DTM written to {out / 'dtm.asc'}")
     print(
@@ -214,11 +212,8 @@ def _cmd_dtm(args) -> int:
 
 
 def _write_water_csv(path: Path, wmap) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "pixel_count", "elevation"])
-        for seg in wmap.segments:
-            writer.writerow([seg.id, seg.pixel_count, f"{seg.elevation:.6f}"])
+    rows = ([seg.id, seg.pixel_count, seg.elevation] for seg in wmap.segments)
+    write_csv(path, ["id", "pixel_count", "elevation"], rows)
 
 
 def _read_to_dsm(path, cfg: PipelineConfig):
@@ -241,7 +236,7 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_water(args) -> int:
-    wp = WaterParams(args.window, args.confidence, args.percentile, args.min_segment_px)
+    wp = _water_params(args)
     cfg = _cloud_config(args, water_params=wp)
     sparse = _read_to_dsm(args.input, cfg)
     threshold = water_threshold(sparse.occupancy, wp)

@@ -7,6 +7,7 @@ in a projected metric CRS.
 
 from __future__ import annotations
 
+import csv
 import functools
 import io
 import math
@@ -519,6 +520,20 @@ def write_blocks(path, blocks: Iterator[bytes]) -> None:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as ``csv.writer`` writes them, through ``write_blocks``.
+
+    A float field is written in ``%.6f`` (``nan`` for NaN) and ``None`` as
+    an empty field.  The dialect is the default one, so rows end in CRLF.
+    """
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+    write_blocks(path, [text.getvalue().encode()])
 
 
 def write_points_xyz(pc: PointCloud, target) -> None:

@@ -132,7 +132,7 @@ def _peak_rss_mb() -> float:
 
 
 class _StageTimer:
-    """Wall time of each stage, and the process's peak RSS when it ended."""
+    """Wall time of each stage in seconds (to 1 us), and the process's peak RSS when it ended."""
 
     def __init__(self) -> None:
         self.timings: dict[str, float] = {}
@@ -145,7 +145,7 @@ class _StageTimer:
         except PipelineError as exc:
             exc.args = (f"[stage {name}] {exc}",)
             raise
-        self.timings[name] = time.perf_counter() - start
+        self.timings[name] = round(time.perf_counter() - start, 6)
         self.peak_rss_mb[name] = round(_peak_rss_mb(), 3)
         return result
 
@@ -293,7 +293,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
             "water_px": int(wmap.is_water.sum()),
         },
         "source_px": source_px,
-        "timings_s": {k: round(v, 6) for k, v in timer.timings.items()},
+        "timings_s": timer.timings,
         "peak_rss_mb": timer.peak_rss_mb,
     }
 

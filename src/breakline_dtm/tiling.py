@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .asciigrid import _read_blocks, _row_bands
 from .errors import GridMismatchError, InputDataError, ParameterError
+from .ingest import write_csv
 from .raster import GridSpec
 
 
@@ -201,17 +200,7 @@ def tile_report(rows: list[list[tuple[int, float, float]]], tile_px: int) -> Til
 def write_tile_csv(report: TileReport, path) -> None:
     """CSV rows: tile_row, tile_col, valid_px, mae, rmse, rank (blank if unranked)."""
     rank_of = {rc: i + 1 for i, rc in enumerate(report.ranking)}
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tile_row", "tile_col", "valid_px", "mae", "rmse", "rank"])
-        for t in report.tiles:
-            writer.writerow(
-                [
-                    t.row,
-                    t.col,
-                    t.valid_px,
-                    "" if t.mae is None else f"{t.mae:.6f}",
-                    "" if t.rmse is None else f"{t.rmse:.6f}",
-                    rank_of.get((t.row, t.col), ""),
-                ]
-            )
+    rows = (
+        [t.row, t.col, t.valid_px, t.mae, t.rmse, rank_of.get((t.row, t.col))] for t in report.tiles
+    )
+    write_csv(path, ["tile_row", "tile_col", "valid_px", "mae", "rmse", "rank"], rows)
