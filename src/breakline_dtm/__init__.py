@@ -5,6 +5,10 @@ Each public name is loaded from its module on first access, so
 ``OPENBLAS_NUM_THREADS`` before numpy starts its BLAS threads.
 """
 
+import gc
+import sys
+from contextlib import contextmanager
+
 # the module each public name lives in
 _EXPORTS = {
     name: module
@@ -84,3 +88,30 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
+
+
+@contextmanager
+def _imports_without_collection():
+    """Run a block of imports with the cyclic collector paused, then give its state back.
+
+    A module load makes tens of thousands of objects that stay alive,
+    and the collector's passes during it free almost nothing.  A pause
+    alone only defers them: the first pass after it would walk every
+    object the load made.  So once the block has loaded a module, every
+    tracked object moves to the oldest generation, where only a full
+    collection looks at it; ``gc.freeze()`` then ``gc.unfreeze()`` walk
+    nothing and leave nothing frozen.  A caller that froze objects
+    itself gets no move, since the unfreeze would release them too.
+    The caller's collector state comes back, also when the block raises.
+    """
+    enabled = gc.isenabled()
+    modules = len(sys.modules)
+    gc.disable()
+    try:
+        yield
+    finally:
+        if len(sys.modules) > modules and gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()

@@ -10,13 +10,13 @@ alone.
 
 from __future__ import annotations
 
-import gc
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _imports_without_collection
 from .errors import InsufficientGroundError, ParameterError, PipelineError
 from .groundfilter import (
     FilterParams,
@@ -190,19 +190,13 @@ def _import_scipy() -> None:
     """Load the scipy modules that the stages import on their first call.
 
     As a stage of its own, the one-off load is not charged to whichever
-    stage happens to call scipy first.  The load creates tens of thousands
-    of objects that stay alive, and the cyclic collector's hundred passes
-    during it free almost nothing; it is paused, and the caller's state
-    comes back.
+    stage happens to call scipy first.  The load runs with the cyclic
+    collector paused, and what it made is left to full collections
+    (``breakline_dtm._imports_without_collection``).
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _imports_without_collection():
         import scipy.ndimage  # noqa: F401
         import scipy.spatial  # noqa: F401
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:

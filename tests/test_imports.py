@@ -4,7 +4,8 @@ Importing the package loads no numpy: each public name is loaded from
 its module on first access. Importing a module of the package loads
 numpy; scipy is imported inside the functions that call it, so `compare`
 and `synth` never load it and `dtm` loads `scipy.ndimage` and
-`scipy.spatial` but not `scipy.interpolate`. The CLI sets
+`scipy.spatial` but not `scipy.interpolate`. The scene model is loaded
+by `synth` alone. The CLI sets
 OPENBLAS_NUM_THREADS before numpy loads, so numpy's and scipy's OpenBLAS
 run on one thread unless the caller chose a count, and neither its
 import nor `compare` loads `concurrent.futures`.
@@ -41,6 +42,11 @@ POOL_PROBE = PROBE.replace(
     '"futures": "concurrent.futures" in sys.modules',
 )
 
+# the same, printing whether the scene model was loaded
+SCENE_PROBE = PROBE.replace(
+    '"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")',
+    '"scene": "breakline_dtm.scene" in sys.modules',
+)
 
 # runs argv (if any) through the CLI, then prints the exit code and the
 # thread count of the OpenBLAS that numpy and scipy each loaded (absent
@@ -116,6 +122,17 @@ def test_synth_loads_no_scipy(tmp_path):
         "building x=10 y=10 width=8 depth=8 height=6\n"
     )
     assert probe("synth", scene, "--out-dir", tmp_path / "s") == {"rc": 0, "scipy": []}
+
+
+def test_only_synth_loads_the_scene_model(tmp_path):
+    assert probe(script=SCENE_PROBE) == {"rc": None, "scene": False}
+    argv = ("dtm", _tiny_scene(tmp_path), "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
+    assert probe(*argv, script=SCENE_PROBE) == {"rc": 0, "scene": False}
+    scene = tmp_path / "scene.txt"
+    scene.write_text("extent min_x=0 min_y=0 max_x=20 max_y=20\nplane base=50\n")
+    assert probe("synth", scene, "--out-dir", tmp_path / "s", script=SCENE_PROBE) == {
+        "rc": 0, "scene": True,
+    }
 
 
 def _tiny_scene(tmp_path) -> Path:
