@@ -115,3 +115,35 @@ def _imports_without_collection():
             gc.unfreeze()
         if enabled:
             gc.enable()
+
+
+def _defer_numpy_submodules() -> None:
+    """Make each numpy submodule that numpy loads on first access load on first use instead.
+
+    ``scipy.ndimage`` and ``scipy.spatial`` read every name in
+    ``dir(numpy)`` as they load, and each read of such a name imports a
+    submodule that no stage uses (``numpy.f2py`` pulls in
+    ``charset_normalizer``, ``numpy.testing`` pulls in ``unittest``).  Each
+    one becomes a ``LazyLoader`` module, in ``sys.modules`` and bound on
+    numpy, that runs its code the first time one of its attributes is
+    read.  An import binds the submodule it loads on numpy, so a
+    submodule already loaded, or deferred by an earlier call, is not
+    among those names and keeps its module.  The process-wide change is
+    the command line's to make: it runs before any thread exists, as
+    Python 3.11's ``LazyLoader`` is not thread-safe.
+    """
+    import importlib.util
+
+    import numpy
+
+    for name in sorted(set(dir(numpy)) - set(vars(numpy))):
+        spec = importlib.util.find_spec(f"numpy.{name}")
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        # bound on numpy too, or ``import numpy.typing`` reads numpy's
+        # __getattr__, which imports the submodule again: a recursion
+        setattr(numpy, name, module)

@@ -21,7 +21,7 @@ import os
 # stage gains from it. A value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import _imports_without_collection
+from . import _defer_numpy_submodules, _imports_without_collection
 
 # numpy loads here, and what the imports make is left to full
 # collections. scene is imported by synth alone; tiling stays here, as
@@ -319,6 +319,10 @@ def _freeze_heap_at_exit() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _freeze_heap_at_exit()
+    # the process is the command line's, so scipy's load may skip the
+    # numpy submodules it reads but no command uses
+    with _imports_without_collection():
+        _defer_numpy_submodules()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -192,11 +192,15 @@ def _import_scipy() -> None:
     As a stage of its own, the one-off load is not charged to whichever
     stage happens to call scipy first.  The load runs with the cyclic
     collector paused, and what it made is left to full collections
-    (``breakline_dtm._imports_without_collection``).
+    (``breakline_dtm._imports_without_collection``).  ``ConvexHull``
+    reads ``numpy.ma`` to reject masked input, and the command line
+    defers that submodule (``breakline_dtm._defer_numpy_submodules``);
+    the from-import reads it, so it loads here too.
     """
     with _imports_without_collection():
         import scipy.ndimage  # noqa: F401
         import scipy.spatial  # noqa: F401
+        from numpy.ma import MaskedArray  # noqa: F401
 
 
 def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:

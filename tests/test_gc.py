@@ -7,7 +7,8 @@ block does not walk the tens of thousands of objects the load made; a
 caller that froze objects itself keeps its freeze count and gets no
 move.  ``import breakline_dtm.cli`` and the pipeline's scipy load each
 run in such a block, and a later ``run_pipeline`` in the same process
-loads nothing and moves nothing.  The caller's collector state comes
+loads nothing and moves nothing; a ``dtm`` run through the CLI makes no
+collection.  The caller's collector state comes
 back, whatever the block does.  The CLI freezes the heap only as the
 interpreter exits, so an in-process caller's heap is never frozen, and
 a reporter registered with atexit before the CLI ran still runs after
@@ -47,6 +48,17 @@ runs = []
 gc.callbacks.append(lambda phase, info: runs.append(info) if phase == "stop" else None)
 import breakline_dtm.cli
 print(json.dumps(len(runs)))
+"""
+
+# runs argv through the CLI and prints the exit code and how many
+# collections ran from the start of main to its return
+RUN_PROBE = """
+import gc, json, sys
+import breakline_dtm.cli
+runs = []
+gc.callbacks.append(lambda phase, info: runs.append(info) if phase == "stop" else None)
+rc = breakline_dtm.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "collections": len(runs)}))
 """
 
 # runs the pipeline on the cloud argv[1] and prints how many objects the
@@ -136,6 +148,13 @@ def test_cli_freezes_the_heap_at_exit_before_earlier_reporters(tmp_path):
 
 def test_import_cli_runs_at_most_two_collections():
     assert probe(script=IMPORT_PROBE) <= 2
+
+
+def test_dtm_run_makes_no_collection(tmp_path):
+    # numpy.ma, deferred by the CLI and read by ConvexHull, loads in the
+    # paused scipy_import stage, not in region_stats
+    argv = ("dtm", _tiny_scene(tmp_path), "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
+    assert probe(*argv, script=RUN_PROBE) == {"rc": 0, "collections": 0}
 
 
 def test_first_run_leaves_the_objects_of_the_scipy_load_out_of_the_young_generations(tmp_path):

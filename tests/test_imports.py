@@ -8,7 +8,13 @@ and `synth` never load it and `dtm` loads `scipy.ndimage` and
 by `synth` alone. The CLI sets
 OPENBLAS_NUM_THREADS before numpy loads, so numpy's and scipy's OpenBLAS
 run on one thread unless the caller chose a count, and neither its
-import nor `compare` loads `concurrent.futures`.
+import nor `compare` loads `concurrent.futures`. The CLI also defers the
+numpy submodules that numpy loads on first access, so scipy's load,
+which reads every name of numpy, leaves the unused ones (`numpy.f2py`
+and its `charset_normalizer`, `numpy.testing` and its `unittest`,
+`numpy.polynomial`) unloaded; each still loads on first use.
+`run_pipeline` called from Python sets neither and leaves its caller's
+numpy as it was.
 """
 
 import importlib
@@ -68,6 +74,63 @@ for pkg, symbol in (
                 get.argtypes, get.restype = [], ctypes.c_int
                 threads[pkg] = get()
 print(json.dumps({"rc": rc, "threads": threads}))
+"""
+
+
+# runs argv through the CLI, then prints the exit code, which modules
+# of numpy submodules no command uses were loaded, and whether three
+# deferred submodules work on first use and are the modules in
+# sys.modules (numpy.ma is not among the unused: ConvexHull reads it)
+DEFER_PROBE = """
+import json, sys
+import breakline_dtm.cli
+rc = breakline_dtm.cli.main(sys.argv[1:])
+unused = (
+    "unittest", "charset_normalizer", "numpy.f2py.f2py2e",
+    "numpy.testing._private.utils", "numpy.polynomial.polynomial",
+)
+loaded = [m for m in unused if m in sys.modules]
+import numpy
+works = [
+    int(numpy.ma.masked_array([1, 2]).sum()) == 3,
+    numpy.testing.assert_equal(1, 1) is None,
+    numpy.polynomial.Polynomial([1]).coef.tolist() == [1.0],
+]
+same = [getattr(numpy, n) is sys.modules["numpy." + n] for n in ("ma", "testing", "polynomial")]
+print(json.dumps({"rc": rc, "loaded": loaded, "works": works, "same": same}))
+"""
+
+# loads numpy.ma, then defers twice; prints whether numpy.ma kept its
+# module, what the second call added or replaced in sys.modules, and
+# which numpy submodules wait for their first use
+REPEAT_PROBE = """
+import json, sys, types
+import numpy, numpy.ma
+from breakline_dtm import _defer_numpy_submodules
+ma = numpy.ma
+_defer_numpy_submodules()
+first = dict(sys.modules)
+_defer_numpy_submodules()
+print(json.dumps({
+    "kept": numpy.ma is ma and sys.modules["numpy.ma"] is ma and type(ma) is types.ModuleType,
+    "added": sorted(set(sys.modules) - set(first)),
+    "replaced": sorted(m for m in first if sys.modules[m] is not first[m]),
+    "pending": sorted(
+        m for m, mod in sys.modules.items() if m.startswith("numpy.") and type(mod) is not types.ModuleType
+    ),
+}))
+"""
+
+# runs the pipeline on the cloud argv[1] from Python; prints which numpy
+# submodules wait for their first use
+LIBRARY_PROBE = """
+import json, sys, types
+from breakline_dtm.groundfilter import FilterParams
+from breakline_dtm.pipeline import PipelineConfig, run_pipeline
+run_pipeline(sys.argv[1], PipelineConfig(filter_params=FilterParams(a1_m2=50, a2_m2=400)))
+print(json.dumps(sorted(
+    m for m, mod in sys.modules.items() if m.startswith("numpy.") and type(mod) is not types.ModuleType
+)))
 """
 
 
@@ -152,6 +215,25 @@ def test_dtm_loads_no_scipy_interpolate_and_times_the_scipy_import(tmp_path):
     assert not [m for m in res["scipy"] if m.startswith("scipy.interpolate")]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["timings_s"]["scipy_import"] > 0
+
+
+def test_dtm_leaves_unused_numpy_submodules_unloaded_until_first_use(tmp_path):
+    argv = ("dtm", _tiny_scene(tmp_path), "--out-dir", tmp_path / "out", "--a1", 50, "--a2", 400)
+    assert probe(*argv, script=DEFER_PROBE) == {
+        "rc": 0, "loaded": [], "works": [True] * 3, "same": [True] * 3,
+    }
+
+
+def test_deferring_keeps_loaded_submodules_and_a_second_call_changes_nothing():
+    res = probe(script=REPEAT_PROBE)
+    assert res["kept"] is True
+    assert res["added"] == [] and res["replaced"] == []
+    assert "numpy.ma" not in res["pending"]
+    assert {"numpy.f2py", "numpy.testing"} <= set(res["pending"])
+
+
+def test_run_pipeline_from_python_leaves_numpy_loading_its_own_way(tmp_path):
+    assert probe(_tiny_scene(tmp_path), script=LIBRARY_PROBE) == []
 
 
 def test_import_package_loads_no_numpy():
