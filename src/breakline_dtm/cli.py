@@ -38,12 +38,12 @@ with _imports_without_collection():
     from .asciigrid import write_ascii_grid
     from .errors import InputDataError, ParameterError, PipelineError
     from .groundfilter import FilterParams, region_report_rows
-    from .ingest import BBox, bounds, read_points, write_blocks, write_csv, write_points_xyz
+    from .ingest import BBox, write_blocks, write_csv, write_points_xyz
     from .pipeline import PipelineConfig, _peak_rss_mb, _StageTimer, run_pipeline
-    from .raster import fill_voids_nearest, make_grid_spec, rasterize_min
-    from .slope import break_line_mask, slope_map
+    from .pipeline import _bin_stages, _break_stages, _water_stages
+    from .raster import make_grid_spec
     from .tiling import compare_grid_files, write_tile_csv
-    from .water import WaterParams, nonvoid_fraction, water_mask, water_segments, water_threshold
+    from .water import WaterParams, nonvoid_fraction
 
 
 def _add_slope_flag(p: argparse.ArgumentParser) -> None:
@@ -221,17 +221,10 @@ def _write_water_csv(path: Path, wmap) -> None:
     write_csv(path, ["id", "pixel_count", "elevation"], rows)
 
 
-def _read_to_dsm(path, cfg: PipelineConfig):
-    pc = read_points(path, cfg.strict_parse)
-    return rasterize_min(pc, make_grid_spec(bounds(pc), cfg.cell), cfg.workers)
-
-
 def _cmd_slope(args) -> int:
     cfg = _cloud_config(args, filter_params=FilterParams(args.slope_threshold))
-    sparse = _read_to_dsm(args.input, cfg)
-    dsm = fill_voids_nearest(sparse)
-    slp = slope_map(dsm)
-    mask = break_line_mask(slp, cfg.filter_params.tau_deg)
+    timer = _StageTimer()  # dtm's own stages, so a fault names its stage as dtm's does
+    _, slp, mask = _break_stages(_bin_stages(args.input, cfg, timer)[0], cfg, timer)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(slp.slope_deg, slp.grid, out / "slope.asc")
@@ -241,12 +234,10 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_water(args) -> int:
-    wp = _water_params(args)
-    cfg = _cloud_config(args, water_params=wp)
-    sparse = _read_to_dsm(args.input, cfg)
-    threshold = water_threshold(sparse.occupancy, wp)
-    mask = water_mask(sparse.occupancy, threshold, wp)
-    wmap = water_segments(mask, sparse, wp)
+    cfg = _cloud_config(args, water_params=_water_params(args))
+    timer = _StageTimer()
+    sparse = _bin_stages(args.input, cfg, timer)[0]
+    threshold, wmap = _water_stages(sparse, cfg, timer)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_ascii_grid(wmap.is_water, wmap.grid, out / "water_mask.asc")

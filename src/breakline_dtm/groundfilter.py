@@ -108,12 +108,12 @@ def min_area_rect(points: np.ndarray) -> float:
 
 
 def _region_boundary_corners(seg: Segmentation) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Pixel count per region, and its pixel-square corner points reduced to row extremes.
+    """Pixel count per region, and the outer corners of its rows' extreme pixels.
 
     Only the leftmost and rightmost pixel of each (region, row) pair can
-    contribute hull vertices, so their corners are enough for an exact
-    minimum-rectangle computation.  Both come from the horizontal runs of
-    equal labels, not from every labelled pixel.
+    contribute hull vertices, and their other four corners lie between the
+    outer four, so these are enough for an exact minimum rectangle.  Both
+    come from the horizontal runs of equal labels, not from every pixel.
     """
     nrows, ncols = seg.grid.shape
     # a run starts where a row starts or its label changes; column ncols
@@ -123,35 +123,32 @@ def _region_boundary_corners(seg: Segmentation) -> tuple[np.ndarray, list[np.nda
     bounds = np.flatnonzero(edge)
     del edge
     rows, first = np.divmod(bounds[:-1], ncols + 1)
-    last = bounds[1:] % (ncols + 1) - 1
+    end = bounds[1:] % (ncols + 1)  # one past the run's last column
     runs = first < ncols  # not the pair from one row's end to the next row's start
-    rows, first, last = rows[runs], first[runs], last[runs]
+    rows, first, end = rows[runs], first[runs], end[runs]
     labels = seg.label[rows, first]
     runs = labels != 0
     counts = np.bincount(
-        labels[runs], weights=last[runs] - first[runs] + 1, minlength=seg.region_count + 1
+        labels[runs], weights=end[runs] - first[runs], minlength=seg.region_count + 1
     )[1:].astype(np.int64)
     if not runs.any():
         return counts, []
     # runs are row-major, so a stable sort by label orders by (label, row, col)
     order = np.flatnonzero(runs)[np.argsort(labels[runs], kind="stable")]
-    labels, rows, first, last = labels[order], rows[order], first[order], last[order]
+    labels, rows, first, end = labels[order], rows[order], first[order], end[order]
     group = labels.astype(np.int64) * nrows + rows
     starts = np.flatnonzero(np.diff(group, prepend=group[0] - 1))
     ends = np.append(starts[1:], group.size) - 1
 
-    # per group: the four corners of its leftmost, then of its rightmost pixel
-    corners = np.empty((starts.size, 8, 2))
-    corners[:, :4, 0] = first[starts, None]
-    corners[:, 4:, 0] = last[ends, None]
+    # per group: (x, y) = (first, row), (end, row), (first, row + 1), (end, row + 1)
+    corners = np.empty((starts.size, 4, 2))
+    corners[:, 0::2, 0] = first[starts, None]
+    corners[:, 1::2, 0] = end[ends, None]
     corners[:, :, 1] = rows[starts, None]
-    # x + [0, 1, 0, 1] and y + [0, 0, 1, 1] per pixel, in place
-    corners[:, 1::2, 0] += 1
-    corners[:, 2:4, 1] += 1
-    corners[:, 6:, 1] += 1
+    corners[:, 2:, 1] += 1
     corners = corners.reshape(-1, 2)
     groups_per_region = np.bincount(labels[starts], minlength=seg.region_count + 1)[1:]
-    return counts, np.split(corners, 8 * np.cumsum(groups_per_region)[:-1])
+    return counts, np.split(corners, 4 * np.cumsum(groups_per_region)[:-1])
 
 
 def region_stats(seg: Segmentation) -> RegionStats:

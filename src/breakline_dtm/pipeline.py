@@ -151,7 +151,7 @@ class _StageTimer:
 
 
 def crop_window(grid: GridSpec, crop: BBox) -> tuple[slice, slice, GridSpec]:
-    """Cell window covering ``crop``; ``run_pipeline`` decides it before binning a point."""
+    """Cell window covering ``crop``; ``_bin_stages`` decides it before binning a point."""
     c0 = max(0, int(np.floor((crop.min_x - grid.origin_x) / grid.cell + 1e-9)))
     r0 = max(0, int(np.floor((crop.min_y - grid.origin_y) / grid.cell + 1e-9)))
     c1 = min(grid.ncols, int(np.ceil((crop.max_x - grid.origin_x) / grid.cell - 1e-9)))
@@ -203,17 +203,12 @@ def _import_scipy() -> None:
         from numpy.ma import MaskedArray  # noqa: F401
 
 
-def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """Run the whole chain on a path, bytes, stream or PointCloud."""
-    cfg = cfg or PipelineConfig()
-    timer = _StageTimer()
-    timer.run("scipy_import", _import_scipy)
-
+def _bin_stages(source, cfg: PipelineConfig, timer: _StageTimer):
+    """Stages ``ingest`` to ``rasterize``: the sparse DSM, the crop window and the input counts."""
     if isinstance(source, PointCloud):
         pc = source
     else:
         pc = timer.run("ingest", lambda: read_points(source, cfg.strict_parse))
-
     bbox = timer.run("bounds", lambda: bounds(pc))
     grid = make_grid_spec(bbox, cfg.cell)
     window = None if cfg.crop is None else crop_window(grid, cfg.crop)
@@ -224,12 +219,36 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
         "skipped_records": pc.skipped_records,
         "out_of_bounds": sparse.oob_dropped,
     }
-    del pc  # binned: the points read here are freed; a caller's cloud stays the caller's
+    # binned: the points read here are freed on return; a caller's cloud stays the caller's
+    return sparse, window, points
+
+
+def _break_stages(sparse: SparseDsm, cfg: PipelineConfig, timer: _StageTimer):
+    """Stages ``fill_voids``, ``slope`` and ``break_lines``: the DSM, slope map and break mask."""
     dsm = timer.run("fill_voids", lambda: fill_voids_nearest(sparse))
     slp = timer.run("slope", lambda: slope_map(dsm))
-    breaks = timer.run(
-        "break_lines", lambda: break_line_mask(slp, cfg.filter_params.tau_deg)
-    )
+    breaks = timer.run("break_lines", lambda: break_line_mask(slp, cfg.filter_params.tau_deg))
+    return dsm, slp, breaks
+
+
+def _water_stages(sparse: SparseDsm, cfg: PipelineConfig, timer: _StageTimer):
+    """Stages ``water_threshold`` to ``water_segments`` on the occupancy: threshold and water map."""
+    occupancy, wp = sparse.occupancy, cfg.water_params
+    threshold = timer.run("water_threshold", lambda: water_threshold(occupancy, wp))
+    wmask = timer.run("water_mask", lambda: water_mask(occupancy, threshold, wp))
+    wmap = timer.run("water_segments", lambda: water_segments(wmask, sparse, wp))
+    return threshold, wmap
+
+
+def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
+    """Run the whole chain on a path, bytes, stream or PointCloud."""
+    cfg = cfg or PipelineConfig()
+    timer = _StageTimer()
+    timer.run("scipy_import", _import_scipy)
+
+    sparse, window, points = _bin_stages(source, cfg, timer)
+    grid = sparse.grid
+    dsm, slp, breaks = _break_stages(sparse, cfg, timer)
     seg = timer.run("label_regions", lambda: label_regions(breaks))
     stats = timer.run("region_stats", lambda: region_stats(seg))
     ground = timer.run(
@@ -247,15 +266,7 @@ def run_pipeline(source, cfg: PipelineConfig | None = None) -> PipelineResult:
     if not cfg.intermediates:
         dsm = None
 
-    threshold = timer.run(
-        "water_threshold", lambda: water_threshold(sparse.occupancy, cfg.water_params)
-    )
-    wmask = timer.run(
-        "water_mask", lambda: water_mask(sparse.occupancy, threshold, cfg.water_params)
-    )
-    wmap = timer.run(
-        "water_segments", lambda: water_segments(wmask, sparse, cfg.water_params)
-    )
+    threshold, wmap = _water_stages(sparse, cfg, timer)
     nonvoid, fraction = nonvoid_fraction(sparse.occupancy)
     if not cfg.intermediates:
         sparse = None

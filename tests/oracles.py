@@ -246,6 +246,24 @@ def row_extreme_corners(label, region_count):
     return [np.asarray(b, dtype=np.float64) for b in buckets]
 
 
+def row_outer_corners(label, region_count):
+    """Per region: the outer corners of each row's leftmost and rightmost pixel.
+
+    Corners are (x, y) = (col, row) in cell units, listed row by row:
+    (left, r), (right + 1, r), (left, r + 1), (right + 1, r + 1).  The other
+    four corners of the two pixels lie on the segments between these.
+    """
+    buckets = [[] for _ in range(region_count)]
+    nrows, ncols = label.shape
+    for lb in range(1, region_count + 1):
+        for r in range(nrows):
+            cols = [c for c in range(ncols) if label[r, c] == lb]
+            if cols:
+                lo, hi = min(cols), max(cols) + 1
+                buckets[lb - 1] += [(lo, r), (hi, r), (lo, r + 1), (hi, r + 1)]
+    return [np.asarray(b, dtype=np.float64) for b in buckets]
+
+
 def las_xyz_by_copy(data, point_offset, rec_len, count, scales, offsets):
     """x/y/z of ``count`` LAS records: copy the body, then each record's 12-byte prefix."""
     body = data[point_offset:]

@@ -24,6 +24,7 @@ from oracles import (
     bfs_label_4connected,
     calipers_min_rect_area,
     row_extreme_corners,
+    row_outer_corners,
     sweep_min_rect_area,
 )
 
@@ -275,7 +276,7 @@ def test_region_boundary_corners_equal_row_corner_oracle(raster):
     counts, got = _region_boundary_corners(seg)
     assert counts.dtype == np.int64
     assert counts.tolist() == np.bincount(lab.ravel(), minlength=n + 1)[1:].tolist()
-    expected = row_extreme_corners(lab, n)
+    expected = row_outer_corners(lab, n)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()

@@ -318,8 +318,9 @@ def test_cli_grid_below_3x3_names_the_cell_size(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run_cli([command, pts, "--cell", "3", "--out-dir", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: ")
-    assert "need at least 3x3 cells, got 2x2 at cell size 3.0 m (--cell)" in err
+    assert err.startswith(
+        "input error: [stage slope] need at least 3x3 cells, got 2x2 at cell size 3.0 m (--cell)"
+    )
     assert not out.exists()
 
 
@@ -449,6 +450,23 @@ def test_cli_slope_and_water(tmp_path):
     assert run_cli(["water", synth_dir / "points.xyz", "--out-dir", out]) == 0
     assert (out / "water_mask.asc").exists()
     assert (out / "water_segments.csv").exists()
+
+
+def test_cli_slope_and_water_write_the_bytes_of_dtm_intermediates(tmp_path, scene_points):
+    # slope and water run dtm's own stages, so their files are dtm's
+    path = tmp_path / "pts.xyz"
+    write_points_xyz(scene_points, path)
+    dtm = tmp_path / "dtm"
+    assert run_cli(["dtm", path, "--out-dir", dtm, "--emit-intermediates"]) == 0
+    files = {
+        "slope": ["slope.asc", "break_mask.asc"],
+        "water": ["water_mask.asc", "water_segments.csv"],
+    }
+    for command, names in files.items():
+        assert run_cli([command, path, "--out-dir", tmp_path / command]) == 0
+        for name in names:
+            assert (tmp_path / command / name).read_bytes() == (dtm / name).read_bytes(), name
+    assert len((dtm / "water_segments.csv").read_text().splitlines()) > 1  # a lake was found
 
 
 def test_cli_compare(tmp_path):
@@ -1042,12 +1060,13 @@ def test_cli_text_without_valid_points_names_what_was_skipped_and_dropped(tmp_pa
     path = tmp_path / "p.xyz"
     path.write_text("nan nan nan\n1 2\n")
     out = tmp_path / "out"
-    assert run_cli(["dtm", path, "--out-dir", out]) == 2
-    assert capsys.readouterr().err == (
-        "input error: [stage ingest] no valid points in text input: 1 malformed record(s) "
-        "skipped (--strict names the first), 1 with non-finite coordinates dropped\n"
-    )
-    assert not out.exists()
+    for command in ("dtm", "water"):
+        assert run_cli([command, path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "input error: [stage ingest] no valid points in text input: 1 malformed record(s) "
+            "skipped (--strict names the first), 1 with non-finite coordinates dropped\n"
+        )
+        assert not out.exists()
 
 
 def test_slope_help_describes_the_slope_threshold(capsys):
